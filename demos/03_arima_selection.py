@@ -2,7 +2,8 @@
 
 The difference order comes from a stationarity heuristic, then every
 (p, q, drift) candidate is fitted by conditional sum of squares and ranked
-by small-sample-corrected AIC.
+by small-sample-corrected AIC.  Selection returns the winning model as
+fitted, ready to forecast.
 """
 
 import pathlib
@@ -20,9 +21,8 @@ series = read_values_file(DATA / "small_cap_monthly.txt", MonthStamp(2010, 1))
 train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
 
 print("difference order chosen:", choose_difference_order(train))
-order = select_order(train)
-model = fit_arima(train, order)
-print("selected order:", order)
+model = select_order(train)
+print("selected order:", model.order)
 print(model.summary())
 print()
 

@@ -7,9 +7,10 @@ a grid of p, q in 0..5 with drift as a searchable flag.  Every candidate's
 AICc is computed over the same n - d differenced observations, whatever its
 p, so the comparison does not depend on the units of the data; candidates
 whose AR or MA polynomial has a root on or inside the unit circle are not
-stationary or not invertible and are skipped.  Forecasts iterate the ARMA
-recursion on the differenced scale with future innovations set to zero,
-then re-integrate from the retained training tail.
+stationary or not invertible and are skipped; the winner is returned as
+fitted.  Forecasts iterate the ARMA recursion on the differenced scale with
+future innovations set to zero, then re-integrate from the retained
+training tail.
 """
 
 from __future__ import annotations
@@ -272,8 +273,8 @@ def _roots_outside_unit_circle(coeffs: Sequence[float]) -> bool:
     return bool(np.all(np.abs(np.roots(poly)) > 1.0))
 
 
-def select_order(series: MonthlyTimeSeries) -> ArimaOrder:
-    """Pick (p,d,q,drift) by minimum AICc over the candidate grid.
+def select_order(series: MonthlyTimeSeries) -> ArimaModel:
+    """Fit every candidate order and return the one with minimum AICc.
 
     d comes from the stationarity heuristic; p and q range over 0..5 with
     drift searchable when d = 1.  AICc is compared over the common n - d
@@ -281,7 +282,8 @@ def select_order(series: MonthlyTimeSeries) -> ArimaOrder:
     Candidates whose optimizer fails are skipped, and so are fits that are
     not stationary or not invertible (an AR or MA root with |root| <= 1):
     their CSS residuals are not the innovations.  (p, q) = (0, 0) has no
-    roots, so the root test alone never leaves the grid empty.
+    roots, so the root test alone never leaves the grid empty.  The winner
+    is returned as fitted, equal to ``fit_arima(series, winner.order)``.
     """
     if len(series) < 24:
         raise SeriesTooShortError(
@@ -289,7 +291,7 @@ def select_order(series: MonthlyTimeSeries) -> ArimaOrder:
     d = choose_difference_order(series)
     drift_options = (False, True) if d == 1 else (False,)
     best_key = None
-    best_order = None
+    best_model = None
     for drift in drift_options:
         for p in range(MAX_P + 1):
             for q in range(MAX_Q + 1):
@@ -306,10 +308,10 @@ def select_order(series: MonthlyTimeSeries) -> ArimaOrder:
                     continue
                 key = (model.aicc, p + q, p, q, drift)
                 if best_key is None or key < best_key:
-                    best_key, best_order = key, order
-    if best_order is None:
+                    best_key, best_model = key, model
+    if best_model is None:
         raise SelectionFailedError("no candidate order produced a usable fit")
-    return best_order
+    return best_model
 
 
 def forecast_arima(model: ArimaModel, horizon: int) -> tuple[float, ...]:

@@ -14,16 +14,14 @@ from pathlib import Path
 
 from .decompose import component_percentage, decompose_additive
 from .errors import ComputationError, DataError
-from .evaluate import (run_fixed_origin, run_rolling, run_trend_seasonal,
-                       structural_stability, compare_hypotheses)
+from .evaluate import (METHODS, run_fixed_origin, run_rolling,
+                       run_trend_seasonal, structural_stability,
+                       compare_hypotheses)
 from .fileio import read_daily_csv, read_values_file, write_values_file
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
 from .series import MonthStamp, MonthlyTimeSeries, aggregate_daily_to_monthly
 from .svgchart import Line, Panel, render_chart
-
-_ENGINE_FOR_METHOD = {"I": "holt_winters", "II": "holt_winters",
-                      "IV": "arima", "V": "arima"}
 
 
 def _month(parser, text, flag):
@@ -96,21 +94,16 @@ def cmd_forecast(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
     if args.horizon < 1:
         parser.error(f"--horizon must be >= 1, got {args.horizon}")
-    if args.engine and _ENGINE_FOR_METHOD.get(args.method) not in (None, args.engine):
-        parser.error(f"method {args.method} uses engine "
-                     f"{_ENGINE_FOR_METHOD[args.method]}, not {args.engine}")
-    if args.method == "III" and args.engine:
-        parser.error("method III has no engine option")
     if args.train_end:
         train_end = _month(parser, args.train_end, "--train-end")
     else:
         train_end = series.end.offset(-args.horizon)
-    if args.method in ("I", "IV"):
-        report = run_fixed_origin(series, _ENGINE_FOR_METHOD[args.method],
-                                  train_end, args.horizon)
-    elif args.method in ("II", "V"):
-        report = run_rolling(series, _ENGINE_FOR_METHOD[args.method],
-                             train_end.offset(1), train_end.offset(args.horizon))
+    engine, protocol = METHODS.get(args.method, (None, None))
+    if protocol == "fixed":
+        report = run_fixed_origin(series, engine, train_end, args.horizon)
+    elif protocol == "rolling":
+        report = run_rolling(series, engine, train_end.offset(1),
+                             train_end.offset(args.horizon))
     else:
         report = run_trend_seasonal(series, train_end)
     _write_output(args, render_method_report(report, args.output_format,
@@ -137,6 +130,8 @@ def cmd_compare(args, parser):
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
                             args.start2 or args.start, flag="--input2")
+    if args.plot and series_1.months() != series_2.months():
+        raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
     _write_output(args, render_hypotheses(report, args.precision))
     if args.plot:
@@ -187,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("forecast", help="run one of the evaluation methods I..V")
     _add_common(p)
     p.add_argument("--method", choices=["I", "II", "III", "IV", "V"], required=True)
-    p.add_argument("--engine", choices=["holt_winters", "arima"],
-                   help="optional engine check; implied by --method")
     p.add_argument("--train-end", help="last training month YYYY-MM "
                                        "(default: horizon months before the end)")
     p.add_argument("--horizon", type=int, default=12,

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Literal
 
-from .arima import fit_arima, forecast_arima, select_order
+from .arima import forecast_arima, select_order
 from .decompose import component_percentage, decompose_additive
 from .errors import InsufficientDataError, NoOverlapError, OutOfRangeError
 from .holtwinters import fit_holt_winters, forecast_hw
@@ -23,8 +23,10 @@ from .series import MonthlyTimeSeries, MonthStamp, slice_window
 
 Engine = Literal["holt_winters", "arima"]
 
-METHOD_FIXED = {"holt_winters": "I", "arima": "IV"}
-METHOD_ROLLING = {"holt_winters": "II", "arima": "V"}
+# the paper's method ids with the engine and protocol each one runs
+METHODS = {"I": ("holt_winters", "fixed"), "II": ("holt_winters", "rolling"),
+           "IV": ("arima", "fixed"), "V": ("arima", "rolling")}
+_METHOD_ID = {pair: method_id for method_id, pair in METHODS.items()}
 
 
 @dataclass(frozen=True)
@@ -108,36 +110,38 @@ def _report(method_id, months, actuals, forecasts) -> MethodReport:
     return MethodReport(method_id, rows, summarize_errors(r.ape for r in rows))
 
 
+def _fit_forecast(train: MonthlyTimeSeries, engine: Engine,
+                  horizon: int) -> tuple[float, ...]:
+    # the fit functions are looked up at call time, so a wrapper set on this
+    # module sees every call
+    if engine == "holt_winters":
+        return forecast_hw(fit_holt_winters(train), horizon)
+    if engine == "arima":
+        return forecast_arima(select_order(train), horizon)
+    raise ValueError(f"unknown engine {engine!r}")
+
+
 def run_fixed_origin(series: MonthlyTimeSeries, engine: Engine,
                      train_end: MonthStamp, horizon: int) -> MethodReport:
     """Fit once through train_end, forecast `horizon` months (method I/IV).
 
-    The ARIMA engine runs order selection on the training window before
-    fitting.
+    The ARIMA engine forecasts from the model that order selection on the
+    training window picked and fitted.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     series.index_of(train_end.offset(horizon))  # evaluation months in span
     train = slice_window(series, series.start, train_end)
-    if engine == "holt_winters":
-        forecasts = forecast_hw(fit_holt_winters(train), horizon)
-    elif engine == "arima":
-        forecasts = forecast_arima(fit_arima(train, select_order(train)), horizon)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    forecasts = _fit_forecast(train, engine, horizon)
     months = [train_end.offset(h) for h in range(1, horizon + 1)]
     actuals = [series.values[series.index_of(m)] for m in months]
-    return _report(METHOD_FIXED[engine], months, actuals, forecasts)
+    return _report(_METHOD_ID[engine, "fixed"], months, actuals, forecasts)
 
 
 def _one_step_refit(series: MonthlyTimeSeries, engine: Engine,
                     month: MonthStamp) -> float:
     train = slice_window(series, series.start, month.offset(-1))
-    if engine == "holt_winters":
-        return forecast_hw(fit_holt_winters(train), 1)[0]
-    if engine == "arima":
-        return forecast_arima(fit_arima(train, select_order(train)), 1)[0]
-    raise ValueError(f"unknown engine {engine!r}")
+    return _fit_forecast(train, engine, 1)[0]
 
 
 def run_rolling(series: MonthlyTimeSeries, engine: Engine,
@@ -154,8 +158,6 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
         raise OutOfRangeError(f"empty evaluation window {eval_start}..{eval_end}")
     series.index_of(eval_start)
     series.index_of(eval_end)
-    if engine not in METHOD_ROLLING:
-        raise ValueError(f"unknown engine {engine!r}")
     months = [eval_start.offset(k)
               for k in range(eval_start.months_until(eval_end) + 1)]
     if workers > 1:
@@ -166,7 +168,7 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
     else:
         forecasts = [_one_step_refit(series, engine, month) for month in months]
     actuals = [series.values[series.index_of(month)] for month in months]
-    return _report(METHOD_ROLLING[engine], months, actuals, forecasts)
+    return _report(_METHOD_ID[engine, "rolling"], months, actuals, forecasts)
 
 
 def run_trend_seasonal(series_full: MonthlyTimeSeries,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .decompose import centered_moving_average_trend, seasonal_indices
 from .errors import SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
@@ -82,20 +83,14 @@ def initialize_state(series: MonthlyTimeSeries) -> tuple[float, float, tuple[flo
     if len(series) < 24:
         raise SeriesTooShortError(
             f"initialization needs at least 24 months, got {len(series)}")
-    y = np.asarray(series.values[:24])
-    weights = np.concatenate(([0.5], np.ones(11), [0.5])) / 12.0
-    trend = np.convolve(y, weights, mode="valid")  # positions 6..17
+    first_two_years = MonthlyTimeSeries(series.start, series.values[:24])
+    full_trend = centered_moving_average_trend(first_two_years)
+    trend = np.array(full_trend[6:18])  # the twelve defined positions
     k = np.arange(1.0, 13.0)
     slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
                    / ((k - k.mean()) ** 2).sum())
     level0 = float(trend.mean() - slope0 * k.mean())
-    months = series.month_indices()[:24]
-    buckets: list[list[float]] = [[] for _ in range(12)]
-    for i in range(6, 18):
-        buckets[months[i]].append(y[i] - trend[i - 6])
-    raw = np.array([np.mean(b) for b in buckets])
-    seasonal0 = raw - raw.mean()
-    return level0, slope0, tuple(float(v) for v in seasonal0)
+    return level0, slope0, seasonal_indices(first_two_years, full_trend)
 
 
 def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
@@ -153,6 +148,9 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     best grid point.  The model carries the terminal level, slope, and the
     latest seasonal estimate per calendar month.
     """
+    if len(series) < 25:  # months 25..n are scored
+        raise SeriesTooShortError(
+            f"fitting needs at least 25 months, got {len(series)}")
     values, month_idx, level0, slope0, seasonal0 = _state_of(series)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     aa, bb, gg = np.meshgrid(grid, grid, grid, indexing="ij")

@@ -81,7 +81,7 @@ def selections(fixtures):
     out = {}
     for sector, series in fixtures.items():
         train = slice_window(series, series.start, TRAIN_END)
-        out[sector] = (train, select_order(train))
+        out[sector] = (train, select_order(train).order)
     return out
 
 

@@ -177,31 +177,33 @@ def fixture_window_selections(cd_series, sc_series):
 class TestSelectOrder:
     def test_ramp_selects_difference_and_fits_exactly(self):
         s = make_series("2010-01", [100.0 + 5.0 * t for t in range(30)])
-        order = select_order(s)
-        assert order.d >= 1
-        model = fit_arima(s, order)
+        model = select_order(s)
+        assert model.order.d >= 1
         assert model.css == pytest.approx(0.0, abs=1e-12)
 
     def test_fixtures_select_one_difference(self, cd_series, sc_series):
         for series in (cd_series, sc_series):
             train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-            assert select_order(train).d == 1
+            assert select_order(train).order.d == 1
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             select_order(make_series("2010-01", [1.0] * 20))
 
     def test_selection_does_not_depend_on_units(self, fixture_window_selections):
-        train, order = fixture_window_selections["CD"]
-        assert order == ArimaOrder(0, 1, 1, drift=True)
+        train, model = fixture_window_selections["CD"]
+        assert model.order == ArimaOrder(0, 1, 1, drift=True)
         for scale in (1e-3, 1e3):
             rescaled = make_series("2010-01", np.asarray(train.values) * scale)
-            assert select_order(rescaled) == order
+            assert select_order(rescaled).order == model.order
+
+    def test_returns_the_winner_as_fitted(self, fixture_window_selections):
+        for train, model in fixture_window_selections.values():
+            assert model == fit_arima(train, model.order)
 
     def test_selected_fits_are_stationary_and_invertible(
             self, fixture_window_selections):
-        for train, order in fixture_window_selections.values():
-            model = fit_arima(train, order)
+        for _, model in fixture_window_selections.values():
             assert _roots_outside_unit_circle([-c for c in model.ar_coeffs])
             assert _roots_outside_unit_circle(model.ma_coeffs)
 

@@ -107,12 +107,6 @@ class TestForecast:
                   "--start", "2010-01", "--horizon", "0"])
         assert exc.value.code == 2
 
-    def test_engine_method_mismatch_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["forecast", "--method", "I", "--engine", "arima",
-                  "--input", CD, "--start", "2010-01"])
-        assert exc.value.code == 2
-
     def test_method_three_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "forecast", "--method", "III",
                                "--input", CD, "--start", "2010-01",
@@ -168,6 +162,28 @@ class TestCompare:
         assert "series2 more random:   True" in out
         assert plot.exists()
         assert plot.read_text().count("<polyline") >= 2
+
+    @pytest.mark.parametrize("months2", [
+        ["--input", "SHORT"],               # 40 months against 72
+        ["--input", CD, "--start2", "2011-01"],  # 72 months, a year later
+    ])
+    def test_plot_needs_inputs_over_the_same_months(self, months2, capsys,
+                                                    tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("".join(f"{1000 + t % 12 * 7 + t}\n" for t in range(40)))
+        argv = [str(short) if a == "SHORT" else a for a in months2]
+        report, plot = tmp_path / "report.txt", tmp_path / "cmp.svg"
+        code, _, err = run_cli(capsys, "compare", *argv, "--input2", SC,
+                               "--start", "2010-01", "--out", str(report),
+                               "--plot", str(plot))
+        assert code == 3
+        assert "same months" in err
+        assert not report.exists() and not plot.exists()
+        # without --plot, inputs over different months are compared
+        code, out, _ = run_cli(capsys, "compare", *argv, "--input2", SC,
+                               "--start", "2010-01")
+        assert code == 0
+        assert "series2 more random:" in out
 
     def test_same_file_twice_gives_false_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--input", CD,

@@ -144,6 +144,16 @@ class TestFit:
         for a, b in zip(fc_base, fc_moved):
             assert b - a == pytest.approx(shift, abs=1e-3 * shift)
 
+    def test_needs_a_scored_month(self):
+        # months 1..24 only start the recursions; month 25 is the first scored
+        values = [500.0 + 3.0 * t + ZERO_SUM_PATTERN[t % 12] + (t % 5)
+                  for t in range(25)]
+        with pytest.raises(SeriesTooShortError):
+            fit_holt_winters(make_series("2010-01", values[:24]))
+        series = make_series("2010-01", values)
+        model = fit_holt_winters(series)
+        assert model.sse == pytest.approx(one_step_sse(series, model.params))
+
 
 class TestForecast:
     def model(self, level, slope, seasonal, end=MonthStamp(2014, 12)):
