@@ -6,6 +6,8 @@ fixed-origin / rolling-origin / trend+seasonal / structural-stability
 evaluation protocols, and deterministic table/SVG rendering.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arima import (ArimaModel, ArimaOrder, TrainTail, choose_difference_order,
                     css_objective, difference, fit_arima, forecast_arima,
                     integrate, select_order)
@@ -32,23 +34,6 @@ from .series import (MONTH_ABBR, DailyObservation, MonthStamp,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArimaModel", "ArimaOrder", "TrainTail", "choose_difference_order",
-    "css_objective", "difference", "fit_arima", "forecast_arima", "integrate",
-    "select_order",
-    "DecompositionResult", "centered_moving_average_trend",
-    "component_percentage", "decompose_additive", "seasonal_indices",
-    "ComputationError", "DataError", "EmptyInputError", "GapInSeriesError",
-    "IndexcastError", "InsufficientCoverageError", "InsufficientDataError",
-    "NoOverlapError", "NonConvergentError", "OutOfRangeError", "ParseError",
-    "SelectionFailedError", "SeriesTooShortError",
-    "ErrorSummary", "ForecastRow", "HypothesisReport", "MethodReport",
-    "StabilityRow", "absolute_percentage_error", "compare_hypotheses",
-    "run_fixed_origin", "run_rolling", "run_trend_seasonal",
-    "structural_stability", "summarize_errors",
-    "read_daily_csv", "read_values_file", "write_values_file",
-    "HoltWintersModel", "HoltWintersParams", "fit_holt_winters", "forecast_hw",
-    "initialize_state", "one_step_sse",
-    "MONTH_ABBR", "DailyObservation", "MonthStamp", "MonthlyTimeSeries",
-    "aggregate_daily_to_monthly", "make_series", "slice_window",
-]
+# every public name bound above except the submodules themselves
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -94,7 +94,7 @@ class ArimaModel:
         o = self.order
         lines = [
             f"order=({o.p},{o.d},{o.q})",
-            f"drift={self.drift_value!r}" if (o.drift or o.d == 0) else "drift=0.0",
+            f"drift={self.drift_value!r}",
             "ar=" + ",".join(repr(v) for v in self.ar_coeffs),
             "ma=" + ",".join(repr(v) for v in self.ma_coeffs),
             f"sigma2={self.sigma2!r}",
@@ -157,7 +157,9 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     """Minimize CSS over (ar, ma[, mu]) by Nelder-Mead from the origin.
 
     mu is fixed for d >= 1 models and estimated jointly when mu_fixed is
-    None (the d = 0 mean term, started at the sample mean).
+    None (the d = 0 mean term, started at the sample mean).  Returns
+    (ar, ma, mu, residuals), the residuals being those of ``_residuals`` at
+    the optimum; with nothing to estimate the optimizer is not called.
     """
     joint_mean = mu_fixed is None
     dim = p + q + (1 if joint_mean else 0)
@@ -173,25 +175,20 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
         excess = (np.abs(x[:p + q]) - COEF_BOUND).clip(0.0)
         return float(e @ e) + _PENALTY * float(excess @ excess)
 
-    if dim == 0:
-        e = _residuals(z, p, q, np.empty(0), np.empty(0), mu_fixed)
-        return np.empty(0), np.empty(0), mu_fixed, float(e @ e)
-
-    x0 = np.zeros(dim)
+    x = np.zeros(dim)
     if joint_mean:
-        x0[p + q] = z.mean()
-    f0 = objective(x0)
-    budget = _EVALS_PER_DIM * dim
-    result = minimize(objective, x0, method="Nelder-Mead",
-                      options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
-                                   maxfev=budget, maxiter=budget))
-    raw = result.x[:p + q]
-    if np.any(np.abs(raw) > COEF_BOUND + 1e-6):
-        raise NonConvergentError(
-            f"optimizer left |coef| <= {COEF_BOUND} box for ARMA({p},{q})")
-    ar, ma, mu = split(result.x)
-    e = _residuals(z, p, q, ar, ma, mu)
-    return ar, ma, mu, float(e @ e)
+        x[p + q] = z.mean()
+    if dim:
+        f0 = objective(x)
+        budget = _EVALS_PER_DIM * dim
+        x = minimize(objective, x, method="Nelder-Mead",
+                     options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
+                                  maxfev=budget, maxiter=budget)).x
+        if np.any(np.abs(x[:p + q]) > COEF_BOUND + 1e-6):
+            raise NonConvergentError(
+                f"optimizer left |coef| <= {COEF_BOUND} box for ARMA({p},{q})")
+    ar, ma, mu = split(x)
+    return ar, ma, mu, _residuals(z, p, q, ar, ma, mu)
 
 
 def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
@@ -201,35 +198,31 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
         raise SeriesTooShortError(
             f"need at least {10 + order.p + order.q + order.d} months for "
             f"order ({order.p},{order.d},{order.q}), got {n}")
-    diffed = np.asarray(difference(series.values, order.d))
+    diffed = np.asarray(series.values, dtype=float)
+    level_tails = []
+    for _ in range(order.d):
+        level_tails.append(float(diffed[-1]))
+        diffed = np.diff(diffed)
     if order.d == 0:
-        ar, ma, mu, css = _optimize_css(diffed, order.p, order.q, None)
-        has_mean = True
+        mu, has_mean = None, True
     else:
         mu = float(diffed.mean()) if order.drift else 0.0
-        ar, ma, mu, css = _optimize_css(diffed, order.p, order.q, mu)
         has_mean = order.drift
+    ar, ma, mu, resid = _optimize_css(diffed, order.p, order.q, mu)
+    css = float(resid @ resid)
     # sigma2 averages the n - d - p residuals CSS has; the likelihood and
     # the small-sample correction use the common n - d sample, so that
     # candidates of every p are scored on the same observations
     n_used = len(diffed)
     sigma2 = css / (n_used - order.p)
     k = order.p + order.q + (1 if has_mean else 0) + 1
-    if n_used - k - 1 <= 0:
-        aicc = math.inf
-    else:
-        aicc = (n_used * math.log(max(sigma2, 1e-300)) + 2 * k
-                + 2 * k * (k + 1) / (n_used - k - 1))
+    # the length check above leaves n_used - k - 1 >= 7
+    aicc = (n_used * math.log(max(sigma2, 1e-300)) + 2 * k
+            + 2 * k * (k + 1) / (n_used - k - 1))
 
-    resid = _residuals(diffed, order.p, order.q, ar, ma, mu)
     tail_len = max(order.p, order.q, 1)
     z = diffed - mu
     resid_aligned = np.concatenate((np.zeros(order.p), resid))
-    level_tails = []
-    cur = np.asarray(series.values, dtype=float)
-    for _ in range(order.d):
-        level_tails.append(float(cur[-1]))
-        cur = np.diff(cur)
     tail = TrainTail(
         demeaned_diffs=tuple(float(v) for v in z[-tail_len:]),
         residuals=tuple(float(v) for v in resid_aligned[-tail_len:]),
@@ -239,9 +232,9 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
                       ar_coeffs=tuple(float(v) for v in ar),
                       ma_coeffs=tuple(float(v) for v in ma),
                       drift_value=float(mu),
-                      sigma2=float(sigma2),
-                      css=float(css),
-                      aicc=float(aicc),
+                      sigma2=sigma2,
+                      css=css,
+                      aicc=aicc,
                       train_tail=tail,
                       train_span=(series.start, series.end))
 
@@ -298,7 +291,7 @@ def select_order(series: MonthlyTimeSeries) -> ArimaModel:
                 order = ArimaOrder(p, d, q, drift)
                 try:
                     model = fit_arima(series, order)
-                except (NonConvergentError, SeriesTooShortError):
+                except NonConvergentError:  # n - d >= 22 >= 10 + p + q
                     continue
                 # AR polynomial 1 - sum phi_k z^k, MA polynomial 1 + sum theta_k z^k
                 if (math.isnan(model.aicc)

@@ -54,7 +54,6 @@ def _write_output(args, text):
 
 
 def _decomposition_panels(result):
-    n = len(result.source)
     return [
         Panel("aggregate", (Line("aggregate", result.source.values),)),
         Panel("trend", (Line("trend", result.trend),)),
@@ -152,14 +151,15 @@ def cmd_compare(args, parser):
     return 0
 
 
-def _add_common(sub):
+def _add_common(sub, table=False):
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
                      default="values", help="input format (default: values)")
     sub.add_argument("--start", help="start month YYYY-MM (values format)")
     sub.add_argument("--out", help="write output here instead of stdout")
-    sub.add_argument("--output-format", choices=["text", "csv", "markdown"],
-                     default="text")
+    if table:  # only subcommands that render a table take a table format
+        sub.add_argument("--output-format", choices=["text", "csv", "markdown"],
+                         default="text")
     sub.add_argument("--precision", choices=["display", "full"],
                      default="display")
 
@@ -175,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = subs.add_parser("decompose", help="trend/seasonal/random decomposition")
-    _add_common(p)
+    _add_common(p, table=True)
     p.add_argument("--plot", help="write a four-panel SVG here")
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("forecast", help="run one of the evaluation methods I..V")
-    _add_common(p)
+    _add_common(p, table=True)
     p.add_argument("--method", choices=["I", "II", "III", "IV", "V"], required=True)
     p.add_argument("--train-end", help="last training month YYYY-MM "
                                        "(default: horizon months before the end)")
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forecast)
 
     p = subs.add_parser("stability", help="two-window trend+seasonal comparison")
-    _add_common(p)
+    _add_common(p, table=True)
     p.add_argument("--window-a", help="YYYY-MM:YYYY-MM (default: all but last year)")
     p.add_argument("--window-b", help="YYYY-MM:YYYY-MM (default: all but first year)")
     p.set_defaults(func=cmd_stability)

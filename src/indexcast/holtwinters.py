@@ -127,6 +127,9 @@ def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma
 
 
 def _state_of(series: MonthlyTimeSeries):
+    if len(series) < 25:  # months 25..n are scored
+        raise SeriesTooShortError(
+            f"scoring needs at least 25 months, got {len(series)}")
     level0, slope0, seasonal0 = initialize_state(series)
     return (np.asarray(series.values), series.month_indices(),
             level0, slope0, seasonal0)
@@ -148,9 +151,6 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     best grid point.  The model carries the terminal level, slope, and the
     latest seasonal estimate per calendar month.
     """
-    if len(series) < 25:  # months 25..n are scored
-        raise SeriesTooShortError(
-            f"fitting needs at least 25 months, got {len(series)}")
     values, month_idx, level0, slope0, seasonal0 = _state_of(series)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     aa, bb, gg = np.meshgrid(grid, grid, grid, indexing="ij")

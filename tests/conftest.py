@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from indexcast import MonthStamp, read_values_file
+from indexcast import MonthStamp, read_values_file, select_order, slice_window
 
 DATA_DIR = pathlib.Path(__file__).parent.parent / "data"
 START = MonthStamp(2010, 1)
@@ -30,6 +30,20 @@ def cd_series():
 @pytest.fixture(scope="session")
 def sc_series():
     return read_values_file(DATA_DIR / "small_cap_monthly.txt", START)
+
+
+@pytest.fixture(scope="session")
+def window_selections(cd_series, sc_series):
+    """(training window, selected model) per sector for 2010-01..2014-12.
+
+    Order selection is the slowest fit in the suite, so every test of the
+    fixture-window selections shares this one run per sector.
+    """
+    out = {}
+    for sector, series in (("CD", cd_series), ("SC", sc_series)):
+        train = slice_window(series, START, TRAIN_END)
+        out[sector] = (train, select_order(train))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -23,11 +23,9 @@ import oracles
 from indexcast import (ArimaOrder, MonthStamp, compare_hypotheses,
                        decompose_additive, difference, fit_arima,
                        fit_holt_winters, forecast_arima, forecast_hw,
-                       integrate, make_series, select_order, slice_window,
-                       structural_stability, summarize_errors,
-                       absolute_percentage_error)
+                       integrate, make_series, structural_stability,
+                       summarize_errors, absolute_percentage_error)
 
-TRAIN_END = MonthStamp(2014, 12)
 WINDOW_A = (MonthStamp(2010, 1), MonthStamp(2014, 12))
 WINDOW_B = (MonthStamp(2011, 1), MonthStamp(2015, 12))
 
@@ -74,15 +72,6 @@ def fixtures(cd_series, sc_series):
 @pytest.fixture(scope="session")
 def decompositions(fixtures):
     return {k: decompose_additive(v) for k, v in fixtures.items()}
-
-
-@pytest.fixture(scope="session")
-def selections(fixtures):
-    out = {}
-    for sector, series in fixtures.items():
-        train = slice_window(series, series.start, TRAIN_END)
-        out[sector] = (train, select_order(train).order)
-    return out
 
 
 @pytest.mark.parametrize("sector", ["CD", "SC"])
@@ -179,16 +168,16 @@ def test_criterion_4_metric_reproduction():
 
 
 @pytest.mark.parametrize("sector", ["CD", "SC"])
-def test_criterion_5_difference_order(sector, selections):
-    _, order = selections[sector]
+def test_criterion_5_difference_order(sector, window_selections):
+    order = window_selections[sector][1].order
     record(f"5 difference order d=1 [{sector}]", order.d == 1,
            f"selected {order}")
 
 
 @pytest.mark.parametrize("sector", ["CD", "SC"])
-def test_criterion_5_anchor_aicc_proximity(sector, selections):
-    train, order = selections[sector]
-    selected_aicc = fit_arima(train, order).aicc
+def test_criterion_5_anchor_aicc_proximity(sector, window_selections):
+    train, model = window_selections[sector]
+    order, selected_aicc = model.order, model.aicc
     p, q = ANCHOR_ORDERS[sector]
     anchor_aicc = min(fit_arima(train, ArimaOrder(p, 1, q, drift)).aicc
                       for drift in (False, True))

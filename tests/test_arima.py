@@ -165,15 +165,6 @@ def _roots_outside_unit_circle(coeffs):
     return bool(np.all(np.abs(np.roots(list(coeffs)[::-1] + [1.0])) > 1.0))
 
 
-@pytest.fixture(scope="module")
-def fixture_window_selections(cd_series, sc_series):
-    out = {}
-    for name, series in (("CD", cd_series), ("SC", sc_series)):
-        train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-        out[name] = (train, select_order(train))
-    return out
-
-
 class TestSelectOrder:
     def test_ramp_selects_difference_and_fits_exactly(self):
         s = make_series("2010-01", [100.0 + 5.0 * t for t in range(30)])
@@ -181,29 +172,28 @@ class TestSelectOrder:
         assert model.order.d >= 1
         assert model.css == pytest.approx(0.0, abs=1e-12)
 
-    def test_fixtures_select_one_difference(self, cd_series, sc_series):
-        for series in (cd_series, sc_series):
-            train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-            assert select_order(train).order.d == 1
+    def test_fixtures_select_one_difference(self, window_selections):
+        for _, model in window_selections.values():
+            assert model.order.d == 1
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             select_order(make_series("2010-01", [1.0] * 20))
 
-    def test_selection_does_not_depend_on_units(self, fixture_window_selections):
-        train, model = fixture_window_selections["CD"]
+    def test_selection_does_not_depend_on_units(self, window_selections):
+        train, model = window_selections["CD"]
         assert model.order == ArimaOrder(0, 1, 1, drift=True)
         for scale in (1e-3, 1e3):
             rescaled = make_series("2010-01", np.asarray(train.values) * scale)
             assert select_order(rescaled).order == model.order
 
-    def test_returns_the_winner_as_fitted(self, fixture_window_selections):
-        for train, model in fixture_window_selections.values():
+    def test_returns_the_winner_as_fitted(self, window_selections):
+        for train, model in window_selections.values():
             assert model == fit_arima(train, model.order)
 
     def test_selected_fits_are_stationary_and_invertible(
-            self, fixture_window_selections):
-        for _, model in fixture_window_selections.values():
+            self, window_selections):
+        for _, model in window_selections.values():
             assert _roots_outside_unit_circle([-c for c in model.ar_coeffs])
             assert _roots_outside_unit_circle(model.ma_coeffs)
 

@@ -46,6 +46,13 @@ class TestIngest:
             main(["ingest", "--input", CD])
         assert exc.value.code == 2
 
+    def test_output_format_is_usage_error(self, capsys):
+        # ingest writes a values file, not a table
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", CD, "--start", "2010-01",
+                  "--output-format", "csv"])
+        assert exc.value.code == 2
+
 
 class TestDecompose:
     def test_csv_matches_library(self, capsys, tmp_path):

@@ -148,8 +148,11 @@ class TestFit:
         # months 1..24 only start the recursions; month 25 is the first scored
         values = [500.0 + 3.0 * t + ZERO_SUM_PATTERN[t % 12] + (t % 5)
                   for t in range(25)]
+        short = make_series("2010-01", values[:24])
         with pytest.raises(SeriesTooShortError):
-            fit_holt_winters(make_series("2010-01", values[:24]))
+            fit_holt_winters(short)
+        with pytest.raises(SeriesTooShortError):
+            one_step_sse(short, HoltWintersParams(0.3, 0.2, 0.1))
         series = make_series("2010-01", values)
         model = fit_holt_winters(series)
         assert model.sse == pytest.approx(one_step_sse(series, model.params))
