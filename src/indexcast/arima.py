@@ -1,16 +1,16 @@
 """ARIMA(p,d,q) with optional drift, fitted by conditional sum of squares.
 
 Coefficients minimize the CSS objective (pre-sample innovations zero) via
-Nelder-Mead from an all-zero start, kept inside |coef| <= 0.99 by a
-quadratic penalty.  Orders are compared by small-sample-corrected AIC over
-a grid of p, q in 0..5 with drift as a searchable flag.  Every candidate's
-AICc is computed over the same n - d differenced observations, whatever its
-p, so the comparison does not depend on the units of the data; candidates
-whose AR or MA polynomial has a root on or inside the unit circle are not
-stationary or not invertible and are skipped; the winner is returned as
-fitted.  Forecasts iterate the ARMA recursion on the differenced scale with
-future innovations set to zero, then re-integrate from the retained
-training tail.
+Nelder-Mead from an all-zero start, with the optimizer's bounds keeping
+every coefficient in |coef| <= 0.99.  Orders are compared by
+small-sample-corrected AIC over a grid of p, q in 0..5 with drift as a
+searchable flag.  Every candidate's AICc is computed over the same n - d
+differenced observations, whatever its p, so the comparison does not depend
+on the units of the data; candidates whose AICc is not finite, or whose AR
+or MA polynomial has a root on or inside the unit circle (not stationary or
+not invertible), are skipped; the winner is returned as fitted.  Forecasts
+iterate the ARMA recursion on the differenced scale with future innovations
+set to zero, then re-integrate from the retained training tail.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
-from .errors import NonConvergentError, SelectionFailedError, SeriesTooShortError
+from .errors import SelectionFailedError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
 MAX_P = 5
 MAX_Q = 5
 MAX_D = 2
 COEF_BOUND = 0.99
-_PENALTY = 1e12
 _EVALS_PER_DIM = 200
 _ACF1_STATIONARY = 0.9
 
@@ -156,37 +155,33 @@ def css_objective(diffed: Sequence[float], order: ArimaOrder,
 def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     """Minimize CSS over (ar, ma[, mu]) by Nelder-Mead from the origin.
 
-    mu is fixed for d >= 1 models and estimated jointly when mu_fixed is
+    ``bounds`` keep every coefficient in |coef| <= COEF_BOUND.  mu is fixed
+    for d >= 1 models and estimated jointly, unbounded, when mu_fixed is
     None (the d = 0 mean term, started at the sample mean).  Returns
     (ar, ma, mu, residuals), the residuals being those of ``_residuals`` at
     the optimum; with nothing to estimate the optimizer is not called.
     """
     joint_mean = mu_fixed is None
-    dim = p + q + (1 if joint_mean else 0)
 
     def split(x):
-        coef = np.clip(x[:p + q], -COEF_BOUND, COEF_BOUND)
         mu = x[p + q] if joint_mean else mu_fixed
-        return coef[:p], coef[p:], mu
+        return x[:p], x[p:p + q], mu
 
     def objective(x):
-        ar, ma, mu = split(x)
-        e = _residuals(z, p, q, ar, ma, mu)
-        excess = (np.abs(x[:p + q]) - COEF_BOUND).clip(0.0)
-        return float(e @ e) + _PENALTY * float(excess @ excess)
+        e = _residuals(z, p, q, *split(x))
+        return float(e @ e)
 
-    x = np.zeros(dim)
+    x = np.zeros(p + q)
+    bounds = [(-COEF_BOUND, COEF_BOUND)] * (p + q)
     if joint_mean:
-        x[p + q] = z.mean()
-    if dim:
+        x = np.append(x, z.mean())
+        bounds.append((None, None))
+    if len(x):
         f0 = objective(x)
-        budget = _EVALS_PER_DIM * dim
-        x = minimize(objective, x, method="Nelder-Mead",
+        budget = _EVALS_PER_DIM * len(x)
+        x = minimize(objective, x, method="Nelder-Mead", bounds=bounds,
                      options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
                                   maxfev=budget, maxiter=budget)).x
-        if np.any(np.abs(x[:p + q]) > COEF_BOUND + 1e-6):
-            raise NonConvergentError(
-                f"optimizer left |coef| <= {COEF_BOUND} box for ARMA({p},{q})")
     ar, ma, mu = split(x)
     return ar, ma, mu, _residuals(z, p, q, ar, ma, mu)
 
@@ -272,11 +267,12 @@ def select_order(series: MonthlyTimeSeries) -> ArimaModel:
     d comes from the stationarity heuristic; p and q range over 0..5 with
     drift searchable when d = 1.  AICc is compared over the common n - d
     differenced sample.  Ties break toward smaller p+q, then smaller p.
-    Candidates whose optimizer fails are skipped, and so are fits that are
-    not stationary or not invertible (an AR or MA root with |root| <= 1):
-    their CSS residuals are not the innovations.  (p, q) = (0, 0) has no
-    roots, so the root test alone never leaves the grid empty.  The winner
-    is returned as fitted, equal to ``fit_arima(series, winner.order)``.
+    Candidates whose AICc is not finite (the sums of squares overflow) are
+    skipped, and so are fits that are not stationary or not invertible (an
+    AR or MA root with |root| <= 1): their CSS residuals are not the
+    innovations.  (p, q) = (0, 0) has no roots, so the root test alone
+    never leaves the grid empty on finite data.  The winner is returned as
+    fitted, equal to ``fit_arima(series, winner.order)``.
     """
     if len(series) < 24:
         raise SeriesTooShortError(
@@ -289,12 +285,9 @@ def select_order(series: MonthlyTimeSeries) -> ArimaModel:
         for p in range(MAX_P + 1):
             for q in range(MAX_Q + 1):
                 order = ArimaOrder(p, d, q, drift)
-                try:
-                    model = fit_arima(series, order)
-                except NonConvergentError:  # n - d >= 22 >= 10 + p + q
-                    continue
+                model = fit_arima(series, order)  # n - d >= 22 >= 10 + p + q
                 # AR polynomial 1 - sum phi_k z^k, MA polynomial 1 + sum theta_k z^k
-                if (math.isnan(model.aicc)
+                if (not math.isfinite(model.aicc)
                         or not _roots_outside_unit_circle(
                             [-c for c in model.ar_coeffs])
                         or not _roots_outside_unit_circle(model.ma_coeffs)):

@@ -1,11 +1,13 @@
 """Exception hierarchy.
 
 ``DataError`` subclasses flag problems with input data (bad files, malformed
-series, windows outside the data span).  ``ComputationError`` subclasses flag
-inputs that are structurally valid but cannot support the requested
-computation (series too short, failed fits, empty overlaps).  Plain
-``ValueError`` / ``ZeroDivisionError`` are raised for contract misuse such as
-out-of-range smoothing parameters or division by a zero observation.
+series, a file whose start month conflicts with the one given, windows
+outside the data span).  ``ComputationError`` and its subclasses flag inputs
+that are structurally valid but cannot support the requested computation
+(series too short, no usable model order, sums of squares that overflow,
+empty overlaps).  Plain ``ValueError`` / ``ZeroDivisionError`` are raised
+for contract misuse such as out-of-range smoothing parameters or division by
+a zero observation.
 """
 
 
@@ -52,10 +54,6 @@ class InsufficientCoverageError(ComputationError):
 
 class InsufficientDataError(ComputationError):
     """Too few values to summarize."""
-
-
-class NonConvergentError(ComputationError):
-    """Optimizer left the stationarity/invertibility box."""
 
 
 class SelectionFailedError(ComputationError):

@@ -1,8 +1,9 @@
 """File ingestion and writing for the two supported input formats.
 
 Values format: one finite decimal per line for consecutive months, ``#``
-comment lines allowed; the start month is supplied out of band.  Daily CSV:
-header ``date,value`` with ISO-8601 dates.
+comment lines allowed; the start month is supplied out of band and must
+match a ``# start YYYY-MM`` line if the file has one.  Daily CSV: header
+``date,value`` with ISO-8601 dates.
 """
 
 from __future__ import annotations
@@ -11,17 +12,26 @@ import csv
 import datetime
 import math
 from pathlib import Path
-from .errors import EmptyInputError, ParseError
+from .errors import DataError, EmptyInputError, ParseError
 from .series import DailyObservation, MonthlyTimeSeries, MonthStamp
 
 
 def read_values_file(path: str | Path, start: MonthStamp) -> MonthlyTimeSeries:
-    """Read a values-format file into a series starting at `start`."""
+    """Read a values-format file into a series starting at `start`.
+
+    A ``# start YYYY-MM`` line naming another month raises ``DataError``.
+    """
     values = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
-            if not text or text.startswith("#"):
+            if text.startswith("#"):
+                words = text[1:].split()  # a header reads ["start", "YYYY-MM"]
+                if len(words) == 2 and words[0] == "start" and words[1] != str(start):
+                    raise DataError(f"{path}:{line_number}: {text!r} conflicts "
+                                    f"with start month {start}")
+                continue
+            if not text:
                 continue
             try:
                 value = float(text)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .decompose import centered_moving_average_trend, seasonal_indices
-from .errors import SeriesTooShortError
+from .errors import ComputationError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
 GRID_POINTS = 11
@@ -160,6 +160,10 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     best = np.array([aa.ravel()[best_flat], bb.ravel()[best_flat],
                      gg.ravel()[best_flat]])
     best_sse = float(sse[best_flat])
+    if not np.isfinite(best_sse):
+        raise ComputationError(
+            f"one-step sum of squares is not finite ({best_sse!r}); "
+            "the series overflows")
 
     def objective(x):
         v, *_ = _run_filter(values, month_idx, level0, slope0, seasonal0,
@@ -172,7 +176,7 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
                                    fatol=1e-10 * (1.0 + best_sse),
                                    maxfev=_MAX_REFINE_EVALS))
     if result.fun < best_sse:
-        best, best_sse = np.clip(result.x, 0.0, 1.0), float(result.fun)
+        best, best_sse = result.x, float(result.fun)
     final_sse, level, slope, seasonal = _run_filter(
         values, month_idx, level0, slope0, seasonal0, best[0], best[1], best[2])
     return HoltWintersModel(

@@ -18,8 +18,6 @@ from .errors import EmptyInputError, GapInSeriesError, OutOfRangeError
 MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-PERIOD = 12
-
 
 @dataclass(frozen=True, order=True)
 class MonthStamp:
@@ -85,10 +83,6 @@ class MonthlyTimeSeries:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value at position {i}: {v}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def period(self) -> int:
-        return PERIOD
 
     @property
     def end(self) -> MonthStamp:

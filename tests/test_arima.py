@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from indexcast import (ArimaOrder, MonthStamp, SeriesTooShortError,
-                       choose_difference_order, css_objective, difference,
-                       fit_arima, forecast_arima, integrate, make_series,
-                       select_order, slice_window)
+from indexcast import (ArimaOrder, ComputationError, MonthStamp,
+                       SeriesTooShortError, choose_difference_order,
+                       css_objective, difference, fit_arima, forecast_arima,
+                       integrate, make_series, select_order, slice_window)
+from indexcast.arima import COEF_BOUND, MAX_P, MAX_Q
 
 
 class TestOrder:
@@ -141,6 +142,21 @@ class TestFit:
         b = fit_arima(train, ArimaOrder(2, 1, 2))
         assert a == b
 
+    def test_coefficients_stay_in_the_box_whatever_the_units(self):
+        # the box is the optimizer's bounds, not a penalty in squared data
+        # units, so a power-of-two rescaling leaves every fit unchanged
+        rng = np.random.default_rng(1)
+        values = 1000.0 + rng.normal(0.0, 10.0, 60)
+        small = make_series("2010-01", values)
+        large = make_series("2010-01", values * 2.0 ** 20)
+        for p in range(MAX_P + 1):
+            for q in range(MAX_Q + 1):
+                a, b = (fit_arima(s, ArimaOrder(p, 1, q)) for s in (small, large))
+                coef_a = np.array(a.ar_coeffs + a.ma_coeffs)
+                coef_b = np.array(b.ar_coeffs + b.ma_coeffs)
+                assert np.allclose(coef_a, coef_b, rtol=0.0, atol=1e-9), (p, q)
+                assert np.all(np.abs([coef_a, coef_b]) <= COEF_BOUND), (p, q)
+
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             fit_arima(make_series("2010-01", [1.0] * 12), ArimaOrder(2, 1, 2))
@@ -179,6 +195,13 @@ class TestSelectOrder:
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             select_order(make_series("2010-01", [1.0] * 20))
+
+    def test_overflow_is_a_computation_error(self):
+        # every candidate's sum of squares overflows, so none has a finite AICc
+        rng = np.random.default_rng(3)
+        series = make_series("2010-01", 1e200 * (1.0 + 0.01 * rng.normal(size=60)))
+        with np.errstate(all="ignore"), pytest.raises(ComputationError):
+            select_order(series)
 
     def test_selection_does_not_depend_on_units(self, window_selections):
         train, model = window_selections["CD"]

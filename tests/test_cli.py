@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from conftest import DATA_DIR
@@ -40,6 +41,16 @@ class TestIngest:
                                  "--start", "2010-01")
         assert code == 0
         assert "ingested 72 months 2010-01..2015-12" in err
+
+    def test_start_conflicting_with_header_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "monthly.txt"
+        code, *_ = run_cli(capsys, "ingest", "--input", CD, "--start", "2010-01",
+                           "--out", str(out))
+        assert code == 0
+        code, _, err = run_cli(capsys, "decompose", "--input", str(out),
+                               "--start", "2011-01")
+        assert code == 3
+        assert "2011-01" in err
 
     def test_missing_start_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -113,6 +124,17 @@ class TestForecast:
             main(["forecast", "--method", "I", "--input", CD,
                   "--start", "2010-01", "--horizon", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["I", "IV"])
+    def test_overflow_is_computation_error(self, method, capsys, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("".join(f"{1e200 * (1.0 + 0.01 * (t % 7))!r}\n"
+                                for t in range(72)))
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, "forecast", "--method", method,
+                                   "--input", str(huge), "--start", "2010-01")
+        assert code == 4
+        assert "computation error" in err
 
     def test_method_three_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "forecast", "--method", "III",

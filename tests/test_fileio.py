@@ -1,7 +1,8 @@
 import pytest
 
-from indexcast import (EmptyInputError, MonthStamp, ParseError, make_series,
-                       read_daily_csv, read_values_file, write_values_file)
+from indexcast import (DataError, EmptyInputError, MonthStamp, ParseError,
+                       make_series, read_daily_csv, read_values_file,
+                       write_values_file)
 
 
 class TestValuesFormat:
@@ -19,6 +20,12 @@ class TestValuesFormat:
         series = read_values_file(path, MonthStamp(2012, 6))
         assert series.values == (100.0, 200.0)
         assert series.start == MonthStamp(2012, 6)
+
+    def test_start_header_must_name_the_start_month(self, tmp_path):
+        path = tmp_path / "values.txt"
+        write_values_file(path, make_series("2010-01", [100.0, 200.0]))
+        with pytest.raises(DataError, match=":1:"):
+            read_values_file(path, MonthStamp(2011, 1))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "values.txt"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from indexcast import (HoltWintersParams, MonthStamp, SeriesTooShortError,
-                       fit_holt_winters, forecast_hw, initialize_state,
-                       make_series, one_step_sse, slice_window)
+from indexcast import (ComputationError, HoltWintersParams, MonthStamp,
+                       SeriesTooShortError, fit_holt_winters, forecast_hw,
+                       initialize_state, make_series, one_step_sse,
+                       slice_window)
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -156,6 +157,12 @@ class TestFit:
         series = make_series("2010-01", values)
         model = fit_holt_winters(series)
         assert model.sse == pytest.approx(one_step_sse(series, model.params))
+
+    def test_overflow_is_a_computation_error(self):
+        # squared one-step errors of a series near 1e200 overflow to inf
+        series = trend_seasonal_series(1e200, 1e197, 60)
+        with np.errstate(all="ignore"), pytest.raises(ComputationError):
+            fit_holt_winters(series)
 
 
 class TestForecast:
