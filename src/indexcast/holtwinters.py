@@ -3,8 +3,11 @@
 The smoothing constants are chosen by minimizing the one-step-ahead sum of
 squared errors: an 11x11x11 grid over [0,1]^3 picks a starting point (ties
 broken toward the smallest triple in lexicographic order) and Nelder-Mead
-refines it until the simplex diameter falls below 1e-4.  Everything is
-deterministic: identical series produce identical models.
+refines it until the simplex diameter falls below 1e-4 and the SSE spread
+below 1e-10 of the grid's best SSE.  Both stages run the same plain-float
+filter, one triple at a time.  Everything is deterministic: identical series
+produce identical models, and a series scaled by a power of two gives the
+same constants.
 
 Starting state comes from a classical decomposition of the first two years:
 a 2x12 centered moving average gives twelve interior trend values, a least
@@ -94,34 +97,25 @@ def initialize_state(series: MonthlyTimeSeries) -> tuple[float, float, tuple[flo
 
 
 def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
-    """Run the smoothing recursions for one or many parameter triples.
+    """Run the smoothing recursions for one (alpha, beta, gamma) triple.
 
-    Parameters may be scalars or equal-length 1-d arrays; the same
-    elementwise operation order is used either way, so grid and scalar
-    evaluations agree bit for bit.  Returns (sse, level, slope, seasonal)
-    arrays with the parameter axis leading.
+    Arguments are plain Python floats (or tuples of them), so the loop runs
+    without numpy dispatch.  The grid, the refine, ``one_step_sse`` and the
+    final state all call it; the operation order fixes the fitted results
+    bit for bit, so keep it.  Returns (sse, level, slope, seasonal list).
     """
-    a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    b = np.atleast_1d(np.asarray(beta, dtype=float))
-    g = np.atleast_1d(np.asarray(gamma, dtype=float))
-    width = max(a.size, b.size, g.size)
-    a = np.broadcast_to(a, (width,))
-    b = np.broadcast_to(b, (width,))
-    g = np.broadcast_to(g, (width,))
-    level = np.full(width, level0)
-    slope = np.full(width, slope0)
-    seasonal = np.tile(np.asarray(seasonal0, dtype=float), (width, 1))
-    sse = np.zeros(width)
-    n = len(values)
-    for t in range(12, n):
+    level, slope = level0, slope0
+    seasonal = list(seasonal0)
+    sse = 0.0
+    for t in range(12, len(values)):
         m = month_idx[t]
-        s_prev = seasonal[:, m].copy()
+        s_prev = seasonal[m]
         if t >= 24:
             err = values[t] - (level + slope + s_prev)
             sse += err * err
-        new_level = a * (values[t] - s_prev) + (1.0 - a) * (level + slope)
-        slope = b * (new_level - level) + (1.0 - b) * slope
-        seasonal[:, m] = g * (values[t] - new_level) + (1.0 - g) * s_prev
+        new_level = alpha * (values[t] - s_prev) + (1.0 - alpha) * (level + slope)
+        slope = beta * (new_level - level) + (1.0 - beta) * slope
+        seasonal[m] = gamma * (values[t] - new_level) + (1.0 - gamma) * s_prev
         level = new_level
     return sse, level, slope, seasonal
 
@@ -131,60 +125,52 @@ def _state_of(series: MonthlyTimeSeries):
         raise SeriesTooShortError(
             f"scoring needs at least 25 months, got {len(series)}")
     level0, slope0, seasonal0 = initialize_state(series)
-    return (np.asarray(series.values), series.month_indices(),
-            level0, slope0, seasonal0)
+    return series.values, series.month_indices(), level0, slope0, seasonal0
 
 
 def one_step_sse(series: MonthlyTimeSeries, params: HoltWintersParams) -> float:
     """Sum of squared one-step errors over observations 25..n."""
-    values, month_idx, level0, slope0, seasonal0 = _state_of(series)
-    sse, *_ = _run_filter(values, month_idx, level0, slope0, seasonal0,
+    sse, *_ = _run_filter(*_state_of(series),
                           params.alpha, params.beta, params.gamma)
-    return float(sse[0])
+    return sse
 
 
 def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     """Fit smoothing constants by one-step SSE minimization.
 
-    Deterministic: a coarse grid pass (ties toward the lexicographically
-    smallest triple) followed by bounded Nelder-Mead refinement from the
-    best grid point.  The model carries the terminal level, slope, and the
-    latest seasonal estimate per calendar month.
+    The grid is scanned in lexicographic order and its first minimum seeds a
+    bounded Nelder-Mead refine, whose tolerances are described above.  The
+    model carries the terminal level, slope, and the latest seasonal
+    estimate per calendar month.
     """
-    values, month_idx, level0, slope0, seasonal0 = _state_of(series)
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    aa, bb, gg = np.meshgrid(grid, grid, grid, indexing="ij")
-    sse, *_ = _run_filter(values, month_idx, level0, slope0, seasonal0,
-                          aa.ravel(), bb.ravel(), gg.ravel())
+    state = _state_of(series)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
+    triples = [(a, b, g) for a in grid for b in grid for g in grid]
+    sse = [_run_filter(*state, *abg)[0] for abg in triples]
     best_flat = int(np.argmin(sse))  # first minimum = lexicographic tie-break
-    best = np.array([aa.ravel()[best_flat], bb.ravel()[best_flat],
-                     gg.ravel()[best_flat]])
-    best_sse = float(sse[best_flat])
+    best, best_sse = triples[best_flat], sse[best_flat]
     if not np.isfinite(best_sse):
         raise ComputationError(
             f"one-step sum of squares is not finite ({best_sse!r}); "
             "the series overflows")
 
     def objective(x):
-        v, *_ = _run_filter(values, month_idx, level0, slope0, seasonal0,
-                            x[0], x[1], x[2])
-        return float(v[0])
+        return _run_filter(*state, *x.tolist())[0]
 
     result = minimize(objective, best, method="Nelder-Mead",
                       bounds=[(0.0, 1.0)] * 3,
                       options=dict(xatol=SIMPLEX_DIAMETER,
-                                   fatol=1e-10 * (1.0 + best_sse),
+                                   fatol=1e-10 * best_sse,
                                    maxfev=_MAX_REFINE_EVALS))
     if result.fun < best_sse:
-        best, best_sse = result.x, float(result.fun)
-    final_sse, level, slope, seasonal = _run_filter(
-        values, month_idx, level0, slope0, seasonal0, best[0], best[1], best[2])
+        best = result.x.tolist()
+    final_sse, level, slope, seasonal = _run_filter(*state, *best)
     return HoltWintersModel(
-        params=HoltWintersParams(float(best[0]), float(best[1]), float(best[2])),
-        level=float(level[0]),
-        trend_slope=float(slope[0]),
-        seasonal_state=tuple(float(v) for v in seasonal[0]),
-        sse=float(final_sse[0]),
+        params=HoltWintersParams(*best),
+        level=level,
+        trend_slope=slope,
+        seasonal_state=tuple(seasonal),
+        sse=final_sse,
         train_span=(series.start, series.end),
     )
 

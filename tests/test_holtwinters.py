@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from indexcast import (ComputationError, HoltWintersParams, MonthStamp,
@@ -113,23 +115,6 @@ class TestFit:
                         for a in grid for b in grid for g in grid)
         assert model.sse <= grid_best + 1e-9
 
-    def test_batched_grid_matches_scalar_bit_for_bit(self, cd_series):
-        # the grid stage evaluates many triples in one vectorized pass; it
-        # must agree exactly with the scalar objective or argmin ties could
-        # resolve differently
-        from indexcast.holtwinters import _run_filter, _state_of
-        train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-        values, month_idx, l0, s0, seas0 = _state_of(train)
-        grid = np.linspace(0, 1, 11)
-        aa, bb, gg = np.meshgrid(grid, grid, grid, indexing="ij")
-        batched, *_ = _run_filter(values, month_idx, l0, s0, seas0,
-                                  aa.ravel(), bb.ravel(), gg.ravel())
-        rng = np.random.default_rng(0)
-        for idx in rng.integers(0, batched.size, 40):
-            params = HoltWintersParams(aa.ravel()[idx], bb.ravel()[idx],
-                                       gg.ravel()[idx])
-            assert one_step_sse(train, params) == batched[idx]
-
     def test_determinism(self, cd_series):
         train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
         assert fit_holt_winters(train) == fit_holt_winters(train)
@@ -144,6 +129,24 @@ class TestFit:
         fc_moved = forecast_hw(moved, 12)
         for a, b in zip(fc_base, fc_moved):
             assert b - a == pytest.approx(shift, abs=1e-3 * shift)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(25, 120),
+           k=st.integers(-60, 60))
+    def test_power_of_two_scaling_is_exact(self, seed, n, k):
+        # scaling by 2**k is exact in floating point, so a units-free fit
+        # must return the same constants and exactly scaled forecasts
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        y = np.clip(rng.uniform(1.0, 1e6) * np.exp(
+            rng.normal(0.0, 0.05, n).cumsum()
+            + rng.uniform(0.0, 0.2) * np.sin(2 * np.pi * t / 12)), 1.0, 1e6)
+        scale = 2.0 ** k
+        base = fit_holt_winters(make_series("2010-01", y))
+        scaled = fit_holt_winters(make_series("2010-01", y * scale))
+        assert scaled.params == base.params
+        assert forecast_hw(scaled, 12) == tuple(
+            f * scale for f in forecast_hw(base, 12))
 
     def test_needs_a_scored_month(self):
         # months 1..24 only start the recursions; month 25 is the first scored
