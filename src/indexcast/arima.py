@@ -1,8 +1,10 @@
 """ARIMA(p,d,q) with optional drift, fitted by conditional sum of squares.
 
-Coefficients minimize the CSS objective (pre-sample innovations zero) via
-Nelder-Mead from an all-zero start, with the optimizer's bounds keeping
-every coefficient in |coef| <= 0.99.  Orders are compared by
+Coefficients minimize the CSS objective (pre-sample innovations zero) by
+a bounded Nelder-Mead simplex from an all-zero start, the bounds keeping
+every coefficient in |coef| <= 0.99.  The simplex is the package's own
+plain-float copy of scipy's (``_simplex.nelder_mead``), so fitted values no
+longer depend on scipy's Nelder-Mead internals.  Orders are compared by
 small-sample-corrected AIC over a grid of p, q in 0..5 with drift as a
 searchable flag.  Every candidate's AICc is computed over the same n - d
 differenced observations, whatever its p, so the comparison does not depend
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from ._simplex import nelder_mead
 from .errors import SelectionFailedError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
@@ -129,16 +132,29 @@ def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float,
     return tuple(float(v) for v in out)
 
 
-def _residuals(diffed: np.ndarray, p: int, q: int, ar, ma, mu: float) -> np.ndarray:
-    """CSS residuals e_t for t = p..len(diffed)-1, pre-sample e treated as 0."""
+def _css_residuals(diffed: np.ndarray, p: int, q: int, mu: float):
+    """CSS residuals e_t, t = p..len(diffed)-1, as a function of (ar, ma).
+
+    Pre-sample e are treated as 0.  The demeaned series, its AR lag views
+    and the MA denominator array are built here once for a fixed mu, so each
+    call only runs the recursion.
+    """
     w = diffed - mu
     n = len(w)
-    x = w[p:].copy()
-    for i in range(1, p + 1):
-        x -= ar[i - 1] * w[p - i:n - i]
-    if q:
-        return lfilter([1.0], np.concatenate(([1.0], ma[:q])), x)
-    return x
+    head = w[p:]
+    lags = [w[p - i:n - i] for i in range(1, p + 1)]
+    denominator = np.ones(q + 1)
+
+    def residuals(ar, ma) -> np.ndarray:
+        x = head.copy()
+        for a, lag in zip(ar, lags):
+            x -= a * lag
+        if q:
+            denominator[1:] = ma
+            return lfilter([1.0], denominator, x)
+        return x
+
+    return residuals
 
 
 def css_objective(diffed: Sequence[float], order: ArimaOrder,
@@ -147,28 +163,38 @@ def css_objective(diffed: Sequence[float], order: ArimaOrder,
     if len(ar) != order.p or len(ma) != order.q:
         raise ValueError(f"coefficient lengths {len(ar)},{len(ma)} do not "
                          f"match order ({order.p},{order.d},{order.q})")
-    e = _residuals(np.asarray(diffed, dtype=float), order.p, order.q,
-                   np.asarray(ar, dtype=float), np.asarray(ma, dtype=float), mu)
+    e = _css_residuals(np.asarray(diffed, dtype=float), order.p, order.q,
+                       mu)(np.asarray(ar, dtype=float),
+                           np.asarray(ma, dtype=float))
     return float(e @ e)
 
 
 def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     """Minimize CSS over (ar, ma[, mu]) by Nelder-Mead from the origin.
 
+    The simplex is ``_simplex.nelder_mead``, run through scipy's
+    ``minimize``; it reproduces scipy's own Nelder-Mead bit for bit on plain
+    floats, so fitted values do not depend on scipy's implementation of it.
     ``bounds`` keep every coefficient in |coef| <= COEF_BOUND.  mu is fixed
-    for d >= 1 models and estimated jointly, unbounded, when mu_fixed is
-    None (the d = 0 mean term, started at the sample mean).  Returns
-    (ar, ma, mu, residuals), the residuals being those of ``_residuals`` at
-    the optimum; with nothing to estimate the optimizer is not called.
+    for d >= 1 models, and the residual function is then set up once per
+    fit; when mu_fixed is None it is estimated jointly, unbounded (the
+    d = 0 mean term, started at the sample mean).  Returns
+    (ar, ma, mu, residuals), the residuals being those at the optimum; with
+    nothing to estimate the optimizer is not called.
     """
     joint_mean = mu_fixed is None
+    fixed = None if joint_mean else _css_residuals(z, p, q, mu_fixed)
 
     def split(x):
         mu = x[p + q] if joint_mean else mu_fixed
         return x[:p], x[p:p + q], mu
 
+    def residuals(x):
+        ar, ma, mu = split(x)
+        return (fixed or _css_residuals(z, p, q, mu))(ar, ma)
+
     def objective(x):
-        e = _residuals(z, p, q, *split(x))
+        e = residuals(x)
         return float(e @ e)
 
     x = np.zeros(p + q)
@@ -179,11 +205,10 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     if len(x):
         f0 = objective(x)
         budget = _EVALS_PER_DIM * len(x)
-        x = minimize(objective, x, method="Nelder-Mead", bounds=bounds,
+        x = minimize(objective, x, method=nelder_mead, bounds=bounds,
                      options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
                                   maxfev=budget, maxiter=budget)).x
-    ar, ma, mu = split(x)
-    return ar, ma, mu, _residuals(z, p, q, ar, ma, mu)
+    return (*split(x), residuals(x))
 
 
 def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:

@@ -2,12 +2,14 @@
 
 The smoothing constants are chosen by minimizing the one-step-ahead sum of
 squared errors: an 11x11x11 grid over [0,1]^3 picks a starting point (ties
-broken toward the smallest triple in lexicographic order) and Nelder-Mead
-refines it until the simplex diameter falls below 1e-4 and the SSE spread
-below 1e-10 of the grid's best SSE.  Both stages run the same plain-float
-filter, one triple at a time.  Everything is deterministic: identical series
-produce identical models, and a series scaled by a power of two gives the
-same constants.
+broken toward the smallest triple in lexicographic order) and a bounded
+Nelder-Mead simplex refines it until the simplex diameter falls below 1e-4
+and the SSE spread below 1e-10 of the grid's best SSE.  Both stages run the
+same plain-float filter, one triple at a time.  The simplex is the
+package's plain-float copy of scipy's (``_simplex.nelder_mead``), so the
+constants no longer depend on scipy's Nelder-Mead internals.  Everything is
+deterministic: identical series produce identical models, and a series
+scaled by a power of two gives the same constants.
 
 Starting state comes from a classical decomposition of the first two years:
 a 2x12 centered moving average gives twelve interior trend values, a least
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._simplex import nelder_mead
 from .decompose import centered_moving_average_trend, seasonal_indices
 from .errors import ComputationError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
@@ -138,8 +141,9 @@ def one_step_sse(series: MonthlyTimeSeries, params: HoltWintersParams) -> float:
 def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     """Fit smoothing constants by one-step SSE minimization.
 
-    The grid is scanned in lexicographic order and its first minimum seeds a
-    bounded Nelder-Mead refine, whose tolerances are described above.  The
+    The grid is scanned in lexicographic order and its first minimum seeds
+    the bounded ``_simplex.nelder_mead`` refine, run through scipy's
+    ``minimize``, with the tolerances described above.  The
     model carries the terminal level, slope, and the latest seasonal
     estimate per calendar month.
     """
@@ -155,9 +159,9 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
             "the series overflows")
 
     def objective(x):
-        return _run_filter(*state, *x.tolist())[0]
+        return _run_filter(*state, *x)[0]
 
-    result = minimize(objective, best, method="Nelder-Mead",
+    result = minimize(objective, best, method=nelder_mead,
                       bounds=[(0.0, 1.0)] * 3,
                       options=dict(xatol=SIMPLEX_DIAMETER,
                                    fatol=1e-10 * best_sse,

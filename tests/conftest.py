@@ -1,7 +1,10 @@
 import pathlib
+import shutil
 import sys
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -13,6 +16,19 @@ TRAIN_END = MonthStamp(2014, 12)
 
 # one line per acceptance check, shown by pytest_terminal_summary
 ACCEPTANCE_LOG = []
+
+
+def pytest_configure(config):
+    # hypothesis caches the literal constants of the local modules under its
+    # home directory, ./.hypothesis by default, while pytest collects (even
+    # with database=None); a temporary home keeps them out of the checkout
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter):
