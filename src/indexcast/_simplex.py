@@ -8,8 +8,9 @@ and result fields, so it returns bit for bit what
 returns.  scipy runs each step as numpy calls on arrays of one to eleven
 elements, where the call overhead outweighs the arithmetic; here every
 vertex is a list of floats.  Pass it to ``scipy.optimize.minimize`` as
-``method=nelder_mead``: minimize hands a callable method the raw bounds and
-options, and ``fun`` receives each trial point as a list of floats.
+``method=nelder_mead`` with ``bounds=`` and a ``maxfev`` option: minimize
+hands a callable method the raw bounds and options, and ``fun`` receives
+each trial point as a list of floats.
 """
 
 from __future__ import annotations
@@ -32,42 +33,33 @@ class _BudgetSpent(Exception):
 def _sorted(sim, fsim):
     """The vertices and their values in the order of ``np.argsort(fsim)``.
 
-    Without ties or NaN every sort gives that order, so Python's does;
-    otherwise numpy's own argsort is asked, whose order among equal values
-    depends on the sort kernel numpy picked for the CPU.
+    numpy's order among equal values depends on the sort kernel it picked
+    for the CPU, and scipy's centroid sums the rows in that order.
     """
-    total = sum(fsim)
-    if total == total and len(set(fsim)) == len(fsim):
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    else:
-        order = np.argsort(np.array(fsim)).tolist()
+    order = np.argsort(np.array(fsim)).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def nelder_mead(fun, x0, args=(), bounds=None, maxiter=None, maxfev=None,
-                xatol=1e-4, fatol=1e-4, **unused):
+def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
+                callback, maxfev, maxiter=math.inf, xatol=1e-4, fatol=1e-4):
     """Minimize ``fun`` from ``x0``; the options are scipy's Nelder-Mead ones.
 
     ``bounds`` is a sequence of (low, high) pairs, None for no bound.
-    ``unused`` takes the jac, hess, constraints and callback arguments that
-    minimize passes to every custom method; none of them applies here.
+    ``maxfev`` caps the evaluations; ``maxiter``, the iterations.
+    minimize passes jac, hess, hessp, constraints and callback to every
+    custom method; none of them applies here.  Any other option
+    (``adaptive``, ``initial_simplex``, a misspelt name) raises TypeError.
     ``fun`` must not modify the list it is given.
     """
     n = len(x0)
-    bounds = bounds or [(None, None)] * n
     lower = [-math.inf if lo is None else float(lo) for lo, _ in bounds]
     upper = [math.inf if hi is None else float(hi) for _, hi in bounds]
 
     def clip(x):
-        return [lo if v < lo else hi if v > hi else v
-                for v, lo, hi in zip(x, lower, upper)]
-
-    if maxiter is None and maxfev is None:
-        maxiter = maxfev = n * 200
-    elif maxiter is None:
-        maxiter = n * 200 if maxfev == math.inf else math.inf
-    elif maxfev is None:
-        maxfev = n * 200 if maxiter == math.inf else math.inf
+        # np.clip's comparisons in its order: a NaN stays NaN, and -0.0
+        # clipped at a +0.0 lower bound becomes +0.0
+        x = [v if v != v or v > lo else lo for v, lo in zip(x, lower)]
+        return [v if v != v or v < hi else hi for v, hi in zip(x, upper)]
 
     nfev = 0
 

@@ -84,6 +84,9 @@ class TestLibraryObjectives:
         assert len(library_runs) == 2
 
 
+_FREE = (None, None)
+
+
 def _bowl(x):
     """A convex bowl with its minimum outside the unit box."""
     return ((x[0] - 2.0) ** 2 + 3.0 * (x[1] + 0.3) ** 2
@@ -98,7 +101,16 @@ def _plateau(x):
 class TestEdgeCases:
     def test_start_on_the_upper_bound_reflects_inward(self):
         same_as_scipy(_bowl, [1.0, 0.5, 1.0], bounds=[(0.0, 1.0)] * 3,
-                      options=dict(xatol=1e-8, fatol=1e-12))
+                      options=dict(xatol=1e-8, fatol=1e-12, maxfev=600))
+
+    def test_negative_zero_start_clips_to_the_zero_lower_bound(self):
+        # np.clip turns -0.0 at a +0.0 lower bound into +0.0; an objective
+        # that reads the sign tells the two apart
+        def fun(x):
+            return math.copysign(1.0, x[0]) + (x[1] - 0.2) ** 2
+
+        same_as_scipy(fun, [-0.0, 0.5], bounds=[(0.0, 1.0)] * 2,
+                      options=dict(maxfev=400))
 
     @pytest.mark.parametrize("x0", [[0.2, -0.1], [0.3, 0.6, 0.9, 1.2],
                                     [1.5] * 5])
@@ -106,7 +118,9 @@ class TestEdgeCases:
         # from four dimensions on, numpy's argsort may order equal values
         # other than a stable sort does, and the centroid sums the rows in
         # that order
-        same_as_scipy(_plateau, x0, options=dict(xatol=1e-6, fatol=1e-9))
+        same_as_scipy(_plateau, x0, bounds=[_FREE] * len(x0),
+                      options=dict(xatol=1e-6, fatol=1e-9,
+                                   maxfev=200 * len(x0)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -117,12 +131,15 @@ class TestEdgeCases:
         # the start simplex straddles the edge, so the worst vertex is bad:
         # a NaN there fails the convergence test however wide xatol is and
         # makes fun NaN while that vertex remains
-        for options in (dict(xatol=1e-6, fatol=1e-9),
-                        dict(xatol=0.1, fatol=1e-2), dict(maxfev=4)):
-            same_as_scipy(fun, [0.49, 0.0], options=options)
-            same_as_scipy(fun, [0.49, 0.0], bounds=[(0.0, 1.0), (None, None)],
+        for options in (dict(xatol=1e-6, fatol=1e-9, maxfev=400),
+                        dict(xatol=0.1, fatol=1e-2, maxfev=400),
+                        dict(maxfev=4)):
+            same_as_scipy(fun, [0.49, 0.0], bounds=[_FREE] * 2,
                           options=options)
-        same_as_scipy(lambda x: bad, [0.5, 0.5])
+            same_as_scipy(fun, [0.49, 0.0], bounds=[(0.0, 1.0), _FREE],
+                          options=options)
+        same_as_scipy(lambda x: bad, [0.5, 0.5], bounds=[_FREE] * 2,
+                      options=dict(maxfev=400))
 
     @pytest.mark.parametrize("fun, x0", [
         (lambda x: (x[0] - 50.0) ** 2 + (x[1] - 50.0) ** 2, [0.0, 0.0]),
@@ -134,8 +151,17 @@ class TestEdgeCases:
         # vertex), so some cap in this sweep falls inside an expansion and
         # inside a shrink
         for maxfev in range(1, 41):
-            result = same_as_scipy(fun, x0, options=dict(maxfev=maxfev))
+            result = same_as_scipy(fun, x0, bounds=[_FREE] * len(x0),
+                                   options=dict(maxfev=maxfev))
             assert result.nfev == maxfev and not result.success
+
+
+def test_unknown_option_raises():
+    # a misspelt budget must not leave the fit on some default cap
+    with pytest.raises(TypeError):
+        scipy.optimize.minimize(_bowl, [0.5, 0.5], method=nelder_mead,
+                                bounds=[_FREE] * 2,
+                                options=dict(maxfev=100, maxfun=100))
 
 
 def test_optimizer_result_keeps_the_tracer_contract(monkeypatch, cd_series):
