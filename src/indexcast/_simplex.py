@@ -8,9 +8,9 @@ and result fields, so it returns bit for bit what
 returns.  scipy runs each step as numpy calls on arrays of one to eleven
 elements, where the call overhead outweighs the arithmetic; here every
 vertex is a list of floats.  Pass it to ``scipy.optimize.minimize`` as
-``method=nelder_mead`` with ``bounds=`` and a ``maxfev`` option: minimize
-hands a callable method the raw bounds and options, and ``fun`` receives
-each trial point as a list of floats.
+``method=nelder_mead`` with ``bounds=`` and a ``maxfev`` option, the only
+budget: minimize hands a callable method the raw bounds and options, and
+``fun`` receives each trial point as a list of floats.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _sorted(sim, fsim):
 
 
 def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
-                callback, maxfev, maxiter=math.inf, xatol=1e-4, fatol=1e-4):
+                callback, maxfev, xatol=1e-4, fatol=1e-4):
     """Minimize ``fun`` from ``x0``; the options are scipy's Nelder-Mead ones.
 
     ``bounds`` is a sequence of (low, high) pairs, None for no bound.
-    ``maxfev`` caps the evaluations; ``maxiter``, the iterations.
+    ``maxfev`` is the only budget: scipy given only maxfev caps no iterations.
     minimize passes jac, hess, hessp, constraints and callback to every
     custom method; none of them applies here.  Any other option
     (``adaptive``, ``initial_simplex``, a misspelt name) raises TypeError.
@@ -90,7 +90,7 @@ def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
         sim, fsim = _sorted(sim, fsim)
 
     iterations = 1
-    while nfev < maxfev and iterations < maxiter:
+    while nfev < maxfev:
         try:
             best = sim[0]
             # all(), not max(): a NaN difference must fail the test.  Both
@@ -139,6 +139,6 @@ def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
             pass
         sim, fsim = _sorted(sim, fsim)
 
-    status = 1 if nfev >= maxfev else 2 if iterations >= maxiter else 0
     return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev,
-                          nit=iterations, status=status, success=status == 0)
+                          nit=iterations, status=int(nfev >= maxfev),
+                          success=nfev < maxfev)

@@ -175,10 +175,11 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     The simplex is ``_simplex.nelder_mead``, run through scipy's
     ``minimize``; it reproduces scipy's own Nelder-Mead bit for bit on plain
     floats, so fitted values do not depend on scipy's implementation of it.
-    ``bounds`` keep every coefficient in |coef| <= COEF_BOUND.  mu is fixed
-    for d >= 1 models, and the residual function is then set up once per
-    fit; when mu_fixed is None it is estimated jointly, unbounded (the
-    d = 0 mean term, started at the sample mean).  Returns
+    ``bounds`` keep every coefficient in |coef| <= COEF_BOUND; the budget is
+    ``_EVALS_PER_DIM`` evaluations per parameter.  mu is fixed for d >= 1
+    models, and the residual function is then set up once per fit; when
+    mu_fixed is None it is estimated jointly, unbounded (the d = 0 mean
+    term, started at the sample mean).  Returns
     (ar, ma, mu, residuals), the residuals being those at the optimum; with
     nothing to estimate the optimizer is not called.
     """
@@ -204,10 +205,9 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
         bounds.append((None, None))
     if len(x):
         f0 = objective(x)
-        budget = _EVALS_PER_DIM * len(x)
         x = minimize(objective, x, method=nelder_mead, bounds=bounds,
                      options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
-                                  maxfev=budget, maxiter=budget)).x
+                                  maxfev=_EVALS_PER_DIM * len(x))).x
     return (*split(x), residuals(x))
 
 
@@ -240,12 +240,11 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
     aicc = (n_used * math.log(max(sigma2, 1e-300)) + 2 * k
             + 2 * k * (k + 1) / (n_used - k - 1))
 
+    # the length check leaves len(resid) = n - d - p >= 10 + q >= tail_len
     tail_len = max(order.p, order.q, 1)
-    z = diffed - mu
-    resid_aligned = np.concatenate((np.zeros(order.p), resid))
     tail = TrainTail(
-        demeaned_diffs=tuple(float(v) for v in z[-tail_len:]),
-        residuals=tuple(float(v) for v in resid_aligned[-tail_len:]),
+        demeaned_diffs=tuple(float(v) for v in diffed[-tail_len:] - mu),
+        residuals=tuple(float(v) for v in resid[-tail_len:]),
         level_tails=tuple(level_tails),
     )
     return ArimaModel(order=order,

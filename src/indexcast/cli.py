@@ -17,7 +17,7 @@ from .errors import ComputationError, DataError
 from .evaluate import (METHODS, run_fixed_origin, run_rolling,
                        run_trend_seasonal, structural_stability,
                        compare_hypotheses)
-from .fileio import read_daily_csv, read_values_file, write_values_file
+from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
 from .series import MonthStamp, MonthlyTimeSeries, aggregate_daily_to_monthly
@@ -64,13 +64,11 @@ def _decomposition_panels(result):
 
 def cmd_ingest(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
+    full_precision = args.precision == "full"
     if args.out:
-        write_values_file(args.out, series, full_precision=args.precision == "full")
+        write_values_file(args.out, series, full_precision)
     else:
-        fmt = repr if args.precision == "full" else "{:.2f}".format
-        sys.stdout.write(f"# start {series.start}\n")
-        for v in series.values:
-            sys.stdout.write(f"{fmt(v)}\n")
+        sys.stdout.write(values_text(series, full_precision))
     sys.stderr.write(f"ingested {len(series)} months "
                      f"{series.start}..{series.end}\n")
     return 0

@@ -179,8 +179,9 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     fitted to its defined trend and projected 12 months, covering
     train_end-5 .. train_end+6.  Each projected trend value plus the
     training seasonal index forms the forecast sum.  The actual sum uses
-    the full series' decomposition over the same months, so the full series
-    must extend at least 6 months past the evaluation window.
+    the full series' decomposition over the same months.  Its trend is
+    defined there: the full series must extend 6 months past the window, and
+    the trend fit needs 37 training months, so train_end-5 is position 31+.
     """
     eval_months = [train_end.offset(h) for h in range(-5, 7)]
     series_full.index_of(eval_months[-1].offset(6))  # need trend there
@@ -189,16 +190,10 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     trend_model = fit_holt_winters(train_dec.trend_series())
     trend_fc = forecast_hw(trend_model, 12)
     full_dec = decompose_additive(series_full)
-    months, actuals, forecasts = [], [], []
-    for month, fc_trend in zip(eval_months, trend_fc):
-        i = series_full.index_of(month)
-        actual_trend = full_dec.trend[i]
-        if actual_trend is None:
-            raise OutOfRangeError(f"full-series trend undefined at {month}")
-        months.append(month)
-        actuals.append(actual_trend + full_dec.seasonal_index_for(month))
-        forecasts.append(fc_trend + train_dec.seasonal_index_for(month))
-    return _report("III", months, actuals, forecasts)
+    actuals = [full_dec.trend[series_full.index_of(month)]
+               + full_dec.seasonal_index_for(month) for month in eval_months]
+    forecasts = [f + train_dec.seasonal_index_for(m) for m, f in zip(eval_months, trend_fc)]
+    return _report("III", eval_months, actuals, forecasts)
 
 
 def structural_stability(series_full: MonthlyTimeSeries,

@@ -16,6 +16,26 @@ from .errors import DataError, EmptyInputError, ParseError
 from .series import DailyObservation, MonthlyTimeSeries, MonthStamp
 
 
+def _header_month(comment: str) -> MonthStamp | None:
+    """The month a ``# start YYYY-MM`` comment names; None for other comments."""
+    try:
+        word, month = comment[1:].split()
+        return MonthStamp.parse(month) if word == "start" else None
+    except ValueError:  # not two words, or no month: "# start here"
+        return None
+
+
+def _number(text: str, path, line_number: int) -> float:
+    """`text` as a finite float; a ParseError naming the line otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(path, line_number, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, line_number, f"non-finite value: {text!r}")
+    return value
+
+
 def read_values_file(path: str | Path, start: MonthStamp) -> MonthlyTimeSeries:
     """Read a values-format file into a series starting at `start`.
 
@@ -26,32 +46,26 @@ def read_values_file(path: str | Path, start: MonthStamp) -> MonthlyTimeSeries:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if text.startswith("#"):
-                words = text[1:].split()  # a header reads ["start", "YYYY-MM"]
-                if len(words) == 2 and words[0] == "start" and words[1] != str(start):
+                if _header_month(text) not in (None, start):
                     raise DataError(f"{path}:{line_number}: {text!r} conflicts "
                                     f"with start month {start}")
-                continue
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(path, line_number, f"not a number: {text!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, line_number, f"non-finite value: {text!r}")
-            values.append(value)
+            elif text:
+                values.append(_number(text, path, line_number))
     if not values:
         raise EmptyInputError(f"no values in {path}")
     return MonthlyTimeSeries(start, tuple(values))
 
 
+def values_text(series: MonthlyTimeSeries, full_precision: bool) -> str:
+    """A ``# start`` line, then each value as ``repr`` or to two decimals."""
+    fmt = repr if full_precision else "{:.2f}".format
+    return f"# start {series.start}\n" + "".join(f"{fmt(v)}\n" for v in series.values)
+
+
 def write_values_file(path: str | Path, series: MonthlyTimeSeries,
                       full_precision: bool = True) -> None:
     """Write a series in values format with the start month as a comment."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# start {series.start}\n")
-        for v in series.values:
-            handle.write((repr(v) if full_precision else f"{v:.2f}") + "\n")
+    Path(path).write_text(values_text(series, full_precision), encoding="utf-8")
 
 
 def read_daily_csv(path: str | Path) -> tuple[DailyObservation, ...]:
@@ -74,12 +88,5 @@ def read_daily_csv(path: str | Path) -> tuple[DailyObservation, ...]:
             except ValueError:
                 raise ParseError(path, line_number,
                                  f"bad ISO date: {row[0]!r}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ParseError(path, line_number,
-                                 f"not a number: {row[1]!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(path, line_number, f"non-finite value: {row[1]!r}")
-            out.append(DailyObservation(date, value))
+            out.append(DailyObservation(date, _number(row[1], path, line_number)))
     return tuple(out)

@@ -6,8 +6,9 @@ purpose; the analysis lives in the decisions ledger and README:
 * criterion 5 anchor proximity (small-cap fixture): with AICc compared over
   the common n - d sample and only stationary, invertible candidates
   admitted, the selected (3,1,2) still beats the published (1,1,0) anchor by
-  about 9.3 AICc points (exact-ML is reported to show the same gap for this
-  fixture).
+  9.45 AICc points.  The gap rests on the CSS estimator: ROADMAP item 1
+  records a CSS-ML prototype (exact likelihood over partial
+  autocorrelations) that narrowed it to 2.02.
 * criterion 8 verdict (i): the small-cap fixture has the larger mean
   absolute seasonal percentage (1.97% vs 1.85%), so the published claim
   does not hold under the stated metric.

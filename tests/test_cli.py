@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
+from indexcast import make_series, write_values_file
 from indexcast.cli import main
 
 CD = str(DATA_DIR / "consumer_durables_monthly.txt")
@@ -51,6 +57,23 @@ class TestIngest:
                                "--start", "2011-01")
         assert code == 3
         assert "2011-01" in err
+
+    @pytest.mark.parametrize("precision", ["display", "full"])
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=30))
+    def test_stdout_equals_out_file(self, precision, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            source, target = Path(tmp) / "in.txt", Path(tmp) / "out.txt"
+            write_values_file(source, make_series("2010-01", values))
+            argv = ["ingest", "--input", str(source), "--start", "2010-01",
+                    "--precision", precision]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+                assert main(argv + ["--out", str(target)]) == 0
+            assert target.read_bytes() == stdout.getvalue().encode("utf-8")
 
     def test_missing_start_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,10 +3,10 @@ import pytest
 
 from golden_tables import CD_METHOD_I, CD_METHOD_III, SC_METHOD_III
 from indexcast import (InsufficientDataError, MonthStamp, NoOverlapError,
-                       absolute_percentage_error, compare_hypotheses,
-                       decompose_additive, make_series, run_fixed_origin,
-                       run_rolling, run_trend_seasonal, structural_stability,
-                       summarize_errors)
+                       SeriesTooShortError, absolute_percentage_error,
+                       compare_hypotheses, decompose_additive, make_series,
+                       run_fixed_origin, run_rolling, run_trend_seasonal,
+                       structural_stability, summarize_errors)
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -147,6 +147,18 @@ class TestTrendSeasonal:
         from indexcast import OutOfRangeError
         with pytest.raises(OutOfRangeError):
             run_trend_seasonal(cd_series, MonthStamp(2015, 6))
+
+    def test_shortest_training_window(self):
+        # 37 training months give the trend fit its 25 defined months and put
+        # the first evaluation month at position 31, inside the full-series
+        # trend (positions 6..n-7); 36 are too few to fit
+        series = deterministic_series(37 + 12)
+        train_end = series.month_at(36)
+        report = run_trend_seasonal(series, train_end)
+        assert [row.month for row in report.rows] == [
+            train_end.offset(h) for h in range(-5, 7)]
+        with pytest.raises(SeriesTooShortError):
+            run_trend_seasonal(series, series.month_at(35))
 
 
 class TestStructuralStability:

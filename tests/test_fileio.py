@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexcast import (DataError, EmptyInputError, MonthStamp, ParseError,
                        make_series, read_daily_csv, read_values_file,
@@ -26,6 +31,33 @@ class TestValuesFormat:
         write_values_file(path, make_series("2010-01", [100.0, 200.0]))
         with pytest.raises(DataError, match=":1:"):
             read_values_file(path, MonthStamp(2011, 1))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=40),
+           year=st.integers(1000, 9999), month=st.integers(1, 12))
+    def test_full_precision_round_trip_property(self, values, year, month):
+        start = MonthStamp(year, month)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "values.txt"
+            write_values_file(path, make_series(start, values), full_precision=True)
+            back = read_values_file(path, start)
+        # hex tells -0.0 from 0.0, which == does not
+        assert [v.hex() for v in back.values] == [v.hex() for v in values]
+
+    def test_comment_naming_no_month_is_not_a_header(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("# start here\n100\n# start 2010-13\n200\n")
+        series = read_values_file(path, MonthStamp(2011, 1))
+        assert series.values == (100.0, 200.0)
+
+    def test_header_month_need_not_be_zero_padded(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("# start 2010-1\n100\n200\n")
+        series = read_values_file(path, MonthStamp(2010, 1))
+        assert series.values == (100.0, 200.0)
+        with pytest.raises(DataError, match=":1:"):
+            read_values_file(path, MonthStamp(2010, 2))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "values.txt"
@@ -72,3 +104,11 @@ class TestDailyCsv:
         path.write_text("date,value\n2010-01-04,one\n")
         with pytest.raises(ParseError):
             read_daily_csv(path)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_rejected_with_line_number(self, tmp_path, text):
+        path = tmp_path / "daily.csv"
+        path.write_text(f"date,value\n2010-01-04,1\n2010-01-05,{text}\n")
+        with pytest.raises(ParseError, match="non-finite value") as exc:
+            read_daily_csv(path)
+        assert exc.value.line_number == 3
