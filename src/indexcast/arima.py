@@ -206,7 +206,7 @@ def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
     if len(x):
         f0 = objective(x)
         x = minimize(objective, x, method=nelder_mead, bounds=bounds,
-                     options=dict(xatol=1e-4, fatol=1e-9 * (1.0 + abs(f0)),
+                     options=dict(xatol=1e-4, fatol=1e-9 * abs(f0),
                                   maxfev=_EVALS_PER_DIM * len(x))).x
     return (*split(x), residuals(x))
 
@@ -270,12 +270,12 @@ def _stationary_enough(w: np.ndarray) -> bool:
 
 
 def choose_difference_order(series: MonthlyTimeSeries) -> int:
-    """Smallest d in 0..2 whose differenced series looks stationary."""
-    values = np.asarray(series.values, dtype=float)
-    for d in range(MAX_D + 1):
-        w = values if d == 0 else np.diff(values, n=d)
+    """Smallest d in 0..1 whose differenced series looks stationary, else 2."""
+    w = np.asarray(series.values, dtype=float)
+    for d in range(MAX_D):
         if _stationary_enough(w):
             return d
+        w = np.diff(w)
     return MAX_D
 
 

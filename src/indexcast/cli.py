@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .decompose import component_percentage, decompose_additive
+from .decompose import decompose_additive
 from .errors import ComputationError, DataError
 from .evaluate import (METHODS, run_fixed_origin, run_rolling,
                        run_trend_seasonal, structural_stability,
@@ -53,15 +53,6 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
-def _decomposition_panels(result):
-    return [
-        Panel("aggregate", (Line("aggregate", result.source.values),)),
-        Panel("trend", (Line("trend", result.trend),)),
-        Panel("seasonal", (Line("seasonal", result.seasonal),)),
-        Panel("random", (Line("random", result.random),)),
-    ], [str(m) for m in result.source.months()]
-
-
 def cmd_ingest(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
     full_precision = args.precision == "full"
@@ -80,7 +71,10 @@ def cmd_decompose(args, parser):
     _write_output(args, render_decomposition(result, args.output_format,
                                              args.precision))
     if args.plot:
-        panels, labels = _decomposition_panels(result)
+        panels = [Panel(name, (Line(name, values),)) for name, values in (
+            ("aggregate", series.values), ("trend", result.trend),
+            ("seasonal", result.seasonal), ("random", result.random))]
+        labels = [str(m) for m in series.months()]
         Path(args.plot).write_text(
             render_chart(panels, labels, title="additive decomposition"),
             encoding="utf-8")
@@ -89,8 +83,9 @@ def cmd_decompose(args, parser):
 
 def cmd_forecast(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
-    if args.horizon < 1:
-        parser.error(f"--horizon must be >= 1, got {args.horizon}")
+    if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
+        parser.error(f"--horizon must be at least 2 (the error summary needs two "
+                     f"months) and 12 for method III, got {args.horizon}")
     if args.train_end:
         train_end = _month(parser, args.train_end, "--train-end")
     else:
@@ -132,15 +127,13 @@ def cmd_compare(args, parser):
     report = compare_hypotheses(series_1, series_2)
     _write_output(args, render_hypotheses(report, args.precision))
     if args.plot:
-        dec_1 = decompose_additive(series_1)
-        dec_2 = decompose_additive(series_2)
         panels = [
             Panel("seasonal component, % of series", (
-                Line("series 1", component_percentage(series_1, dec_1.seasonal)),
-                Line("series 2", component_percentage(series_2, dec_2.seasonal)))),
+                Line("series 1", report.seasonal_pct_1),
+                Line("series 2", report.seasonal_pct_2))),
             Panel("random component, % of series", (
-                Line("series 1", component_percentage(series_1, dec_1.random)),
-                Line("series 2", component_percentage(series_2, dec_2.random)))),
+                Line("series 1", report.random_pct_1),
+                Line("series 2", report.random_pct_2))),
         ]
         labels = [str(m) for m in series_1.months()]
         Path(args.plot).write_text(
@@ -183,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-end", help="last training month YYYY-MM "
                                        "(default: horizon months before the end)")
     p.add_argument("--horizon", type=int, default=12,
-                   help="months to evaluate (default 12)")
+                   help="months to evaluate, at least 2 (default 12); "
+                        "method III always covers 12")
     p.set_defaults(func=cmd_forecast)
 
     p = subs.add_parser("stability", help="two-window trend+seasonal comparison")

@@ -74,7 +74,8 @@ class HypothesisReport:
 
     ``first_more_seasonal`` is True when series 1 has the larger seasonal
     amplitude; ``second_more_random`` when series 2 has the larger random
-    amplitude.  Ties yield False.
+    amplitude.  Ties yield False.  The ``*_pct_*`` fields hold the per-month
+    percentages each amplitude averages, None where undefined.
     """
 
     seasonal_amplitude_1: float
@@ -83,6 +84,10 @@ class HypothesisReport:
     random_amplitude_2: float
     first_more_seasonal: bool
     second_more_random: bool
+    seasonal_pct_1: tuple[float | None, ...]
+    seasonal_pct_2: tuple[float | None, ...]
+    random_pct_1: tuple[float | None, ...]
+    random_pct_2: tuple[float | None, ...]
 
 
 def absolute_percentage_error(actual: float, forecast: float) -> float:
@@ -176,22 +181,23 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     """Forecast the trend+seasonal aggregate over a 12-month window (method III).
 
     The training window [start, train_end] is decomposed; Holt-Winters is
-    fitted to its defined trend and projected 12 months, covering
+    fitted to its defined trend and projected over the 12 months after it,
     train_end-5 .. train_end+6.  Each projected trend value plus the
-    training seasonal index forms the forecast sum.  The actual sum uses
-    the full series' decomposition over the same months.  Its trend is
-    defined there: the full series must extend 6 months past the window, and
-    the trend fit needs 37 training months, so train_end-5 is position 31+.
+    training seasonal index forms the forecast sum.  The actual sum is the
+    full series' trend plus seasonal index over the same months, so its
+    trend must be defined through the last of them: the series must extend
+    6 months past the window, which is checked before the fit.
     """
-    eval_months = [train_end.offset(h) for h in range(-5, 7)]
-    series_full.index_of(eval_months[-1].offset(6))  # need trend there
-    train = slice_window(series_full, series_full.start, train_end)
-    train_dec = decompose_additive(train)
-    trend_model = fit_holt_winters(train_dec.trend_series())
-    trend_fc = forecast_hw(trend_model, 12)
+    train_dec = decompose_additive(slice_window(series_full, series_full.start, train_end))
+    train_trend = train_dec.trend_series()
+    eval_months = [train_trend.end.offset(h) for h in range(1, 13)]
     full_dec = decompose_additive(series_full)
-    actuals = [full_dec.trend[series_full.index_of(month)]
-               + full_dec.seasonal_index_for(month) for month in eval_months]
+    full_trend = full_dec.trend_series()
+    if full_trend.end < eval_months[-1]:  # the actual sums need the trend there
+        raise OutOfRangeError(f"the trend ends at {full_trend.end}, before {eval_months[-1]}")
+    trend_fc = forecast_hw(fit_holt_winters(train_trend), 12)
+    actuals = [full_trend.values[full_trend.index_of(m)]
+               + full_dec.seasonal_index_for(m) for m in eval_months]
     forecasts = [f + train_dec.seasonal_index_for(m) for m, f in zip(eval_months, trend_fc)]
     return _report("III", eval_months, actuals, forecasts)
 
@@ -205,26 +211,23 @@ def structural_stability(series_full: MonthlyTimeSeries,
     trends are defined the signed variation (sum_b - sum_a) / sum_a * 100
     is reported.
     """
-    slice_a = slice_window(series_full, *window_a)
-    slice_b = slice_window(series_full, *window_b)
-    dec_a = decompose_additive(slice_a)
-    dec_b = decompose_additive(slice_b)
-    lo = max(window_a[0].offset(6), window_b[0].offset(6))
-    hi = min(window_a[1].offset(-6), window_b[1].offset(-6))
+    dec_a = decompose_additive(slice_window(series_full, *window_a))
+    dec_b = decompose_additive(slice_window(series_full, *window_b))
+    trend_a, trend_b = dec_a.trend_series(), dec_b.trend_series()
+    lo = max(trend_a.start, trend_b.start)
+    hi = min(trend_a.end, trend_b.end)
     if lo > hi:
         raise NoOverlapError("the defined-trend ranges of the windows do not overlap")
     rows = []
     for k in range(lo.months_until(hi) + 1):
         month = lo.offset(k)
-        trend_a = dec_a.trend[slice_a.index_of(month)]
-        trend_b = dec_b.trend[slice_b.index_of(month)]
-        seasonal_a = dec_a.seasonal_index_for(month)
-        seasonal_b = dec_b.seasonal_index_for(month)
-        sum_a = trend_a + seasonal_a
-        sum_b = trend_b + seasonal_b
+        t_a = trend_a.values[trend_a.index_of(month)]
+        t_b = trend_b.values[trend_b.index_of(month)]
+        s_a, s_b = dec_a.seasonal_index_for(month), dec_b.seasonal_index_for(month)
+        sum_a, sum_b = t_a + s_a, t_b + s_b
         rows.append(StabilityRow(
-            month=month, trend_a=trend_a, seasonal_a=seasonal_a, sum_a=sum_a,
-            trend_b=trend_b, seasonal_b=seasonal_b, sum_b=sum_b,
+            month=month, trend_a=t_a, seasonal_a=s_a, sum_a=sum_a,
+            trend_b=t_b, seasonal_b=s_b, sum_b=sum_b,
             variation_pct=(sum_b - sum_a) / sum_a * 100.0))
     return tuple(rows)
 
@@ -241,14 +244,16 @@ def compare_hypotheses(series_1: MonthlyTimeSeries,
     Amplitude is the mean absolute component percentage over the months
     where the component is defined.
     """
-    dec_1 = decompose_additive(series_1)
-    dec_2 = decompose_additive(series_2)
-    s1 = _amplitude(component_percentage(series_1, dec_1.seasonal))
-    s2 = _amplitude(component_percentage(series_2, dec_2.seasonal))
-    r1 = _amplitude(component_percentage(series_1, dec_1.random))
-    r2 = _amplitude(component_percentage(series_2, dec_2.random))
+    dec_1, dec_2 = decompose_additive(series_1), decompose_additive(series_2)
+    seasonal_1 = component_percentage(series_1, dec_1.seasonal)
+    seasonal_2 = component_percentage(series_2, dec_2.seasonal)
+    random_1 = component_percentage(series_1, dec_1.random)
+    random_2 = component_percentage(series_2, dec_2.random)
+    s1, s2 = _amplitude(seasonal_1), _amplitude(seasonal_2)
+    r1, r2 = _amplitude(random_1), _amplitude(random_2)
     return HypothesisReport(
         seasonal_amplitude_1=s1, seasonal_amplitude_2=s2,
         random_amplitude_1=r1, random_amplitude_2=r2,
-        first_more_seasonal=s1 > s2,
-        second_more_random=r2 > r1)
+        first_more_seasonal=s1 > s2, second_more_random=r2 > r1,
+        seasonal_pct_1=seasonal_1, seasonal_pct_2=seasonal_2,
+        random_pct_1=random_1, random_pct_2=random_2)

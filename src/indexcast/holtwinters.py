@@ -91,7 +91,7 @@ def initialize_state(series: MonthlyTimeSeries) -> tuple[float, float, tuple[flo
             f"initialization needs at least 24 months, got {len(series)}")
     first_two_years = MonthlyTimeSeries(series.start, series.values[:24])
     full_trend = centered_moving_average_trend(first_two_years)
-    trend = np.array(full_trend[6:18])  # the twelve defined positions
+    trend = np.array([t for t in full_trend if t is not None])  # twelve values
     k = np.arange(1.0, 13.0)
     slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
                    / ((k - k.mean()) ** 2).sum())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
@@ -157,6 +159,23 @@ class TestFit:
                 assert np.allclose(coef_a, coef_b, rtol=0.0, atol=1e-9), (p, q)
                 assert np.all(np.abs([coef_a, coef_b]) <= COEF_BOUND), (p, q)
 
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 72),
+           d=st.integers(1, 2), p=st.integers(0, MAX_P), q=st.integers(0, MAX_Q),
+           drift=st.booleans(), k=st.integers(-60, 60))
+    def test_power_of_two_scaling_is_exact(self, seed, n, d, p, q, drift, k):
+        # scaling by 2**k is exact in floating point, and with d >= 1 every
+        # estimated parameter is a unitless coefficient, so the fit must not
+        # change and the sum of squares must scale by exactly 4**k
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(1.0, 1e6) * np.exp(rng.normal(0.0, 0.05, n).cumsum())
+        order = ArimaOrder(p, d, q, drift)
+        base = fit_arima(make_series("2010-01", y), order)
+        scaled = fit_arima(make_series("2010-01", y * 2.0 ** k), order)
+        assert scaled.ar_coeffs == base.ar_coeffs
+        assert scaled.ma_coeffs == base.ma_coeffs
+        assert scaled.css == base.css * 4.0 ** k
+
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
             fit_arima(make_series("2010-01", [1.0] * 12), ArimaOrder(2, 1, 2))
@@ -209,6 +228,16 @@ class TestSelectOrder:
         for scale in (1e-3, 1e3):
             rescaled = make_series("2010-01", np.asarray(train.values) * scale)
             assert select_order(rescaled).order == model.order
+
+    def test_power_of_two_scaling_keeps_the_selection(self, window_selections):
+        # every candidate fit is scale-free (TestFit), so a rescaled window
+        # selects the same order with the same coefficients
+        for train, model in window_selections.values():
+            rescaled = make_series("2010-01", np.asarray(train.values) * 2.0 ** -30)
+            chosen = select_order(rescaled)
+            assert chosen.order == model.order
+            assert chosen.ar_coeffs + chosen.ma_coeffs == (
+                model.ar_coeffs + model.ma_coeffs)
 
     def test_returns_the_winner_as_fitted(self, window_selections):
         for train, model in window_selections.values():

@@ -148,6 +148,23 @@ class TestForecast:
                   "--start", "2010-01", "--horizon", "0"])
         assert exc.value.code == 2
 
+    def test_horizon_one_is_usage_error(self, capsys):
+        # one month gives one error, and the summary needs two
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--method", "I", "--input", CD,
+                  "--start", "2010-01", "--horizon", "1"])
+        assert exc.value.code == 2
+        assert "--horizon must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--horizon", "6"],
+                                       ["--train-end", "2014-12", "--horizon", "3"]])
+    def test_method_three_needs_horizon_twelve(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--method", "III", "--input", CD,
+                  "--start", "2010-01", *extra])
+        assert exc.value.code == 2
+        assert "12 for method III, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["I", "IV"])
     def test_overflow_is_computation_error(self, method, capsys, tmp_path):
         huge = tmp_path / "huge.txt"

@@ -4,9 +4,10 @@ import pytest
 from golden_tables import CD_METHOD_I, CD_METHOD_III, SC_METHOD_III
 from indexcast import (InsufficientDataError, MonthStamp, NoOverlapError,
                        SeriesTooShortError, absolute_percentage_error,
-                       compare_hypotheses, decompose_additive, make_series,
-                       run_fixed_origin, run_rolling, run_trend_seasonal,
-                       structural_stability, summarize_errors)
+                       compare_hypotheses, component_percentage,
+                       decompose_additive, make_series, run_fixed_origin,
+                       run_rolling, run_trend_seasonal, structural_stability,
+                       summarize_errors)
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -145,7 +146,7 @@ class TestTrendSeasonal:
 
     def test_needs_six_months_past_window(self, cd_series):
         from indexcast import OutOfRangeError
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="trend ends at 2015-06, before 2015-12"):
             run_trend_seasonal(cd_series, MonthStamp(2015, 6))
 
     def test_shortest_training_window(self):
@@ -214,6 +215,15 @@ class TestCompareHypotheses:
         assert report.second_more_random
         assert report.random_amplitude_2 == pytest.approx(5.60, abs=0.1)
         assert report.seasonal_amplitude_1 == pytest.approx(1.85, abs=0.1)
+
+    def test_percentage_series_match_the_decomposition(self, cd_series, sc_series):
+        report = compare_hypotheses(cd_series, sc_series)
+        for series, seasonal, random in (
+                (cd_series, report.seasonal_pct_1, report.random_pct_1),
+                (sc_series, report.seasonal_pct_2, report.random_pct_2)):
+            dec = decompose_additive(series)
+            assert seasonal == component_percentage(series, dec.seasonal)
+            assert random == component_percentage(series, dec.random)
 
     def test_identical_series_tie_is_false(self, cd_series):
         report = compare_hypotheses(cd_series, cd_series)
