@@ -97,12 +97,16 @@ def absolute_percentage_error(actual: float, forecast: float) -> float:
     return abs(forecast - actual) / abs(actual) * 100.0
 
 
+def _require_two_errors(count: int) -> None:
+    if count < 2:
+        raise InsufficientDataError(
+            f"need at least 2 errors to summarize, got {count}")
+
+
 def summarize_errors(apes) -> ErrorSummary:
     """Min, max, mean, and sample (n-1) standard deviation."""
     values = [float(v) for v in apes]
-    if len(values) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 errors to summarize, got {len(values)}")
+    _require_two_errors(len(values))
     return ErrorSummary(min=min(values), max=max(values),
                         mean=statistics.fmean(values),
                         sd=statistics.stdev(values))
@@ -131,11 +135,13 @@ def run_fixed_origin(series: MonthlyTimeSeries, engine: Engine,
     """Fit once through train_end, forecast `horizon` months (method I/IV).
 
     The ARIMA engine forecasts from the model that order selection on the
-    training window picked and fitted.
+    training window picked and fitted.  A horizon of 1 cannot be summarized
+    and raises InsufficientDataError before the fit.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     series.index_of(train_end.offset(horizon))  # evaluation months in span
+    _require_two_errors(horizon)
     train = slice_window(series, series.start, train_end)
     forecasts = _fit_forecast(train, engine, horizon)
     months = [train_end.offset(h) for h in range(1, horizon + 1)]
@@ -157,7 +163,9 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
     For each month m in the window, the model trains on everything up to
     m-1; the ARIMA engine re-runs order selection every month.  The
     monthly refits are independent, so `workers` > 1 runs them in a
-    process pool; results are assembled in calendar order either way.
+    process pool; results are assembled in calendar order either way.  A
+    one-month window cannot be summarized and raises InsufficientDataError
+    before any fit.
     """
     if eval_start > eval_end:
         raise OutOfRangeError(f"empty evaluation window {eval_start}..{eval_end}")
@@ -165,6 +173,7 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
     series.index_of(eval_end)
     months = [eval_start.offset(k)
               for k in range(eval_start.months_until(eval_end) + 1)]
+    _require_two_errors(len(months))
     if workers > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

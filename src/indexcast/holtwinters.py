@@ -5,11 +5,14 @@ squared errors: an 11x11x11 grid over [0,1]^3 picks a starting point (ties
 broken toward the smallest triple in lexicographic order) and a bounded
 Nelder-Mead simplex refines it until the simplex diameter falls below 1e-4
 and the SSE spread below 1e-10 of the grid's best SSE.  Both stages run the
-same plain-float filter, one triple at a time.  The simplex is the
-package's plain-float copy of scipy's (``_simplex.nelder_mead``), so the
-constants no longer depend on scipy's Nelder-Mead internals.  Everything is
-deterministic: identical series produce identical models, and a series
-scaled by a power of two gives the same constants.
+same filter: the grid scores all 1331 triples in one call on numpy arrays,
+the refine runs it on plain floats one triple at a time, and both perform
+the same IEEE operations in the same order, so they agree bit for bit.
+The simplex is the package's plain-float copy of scipy's
+(``_simplex.nelder_mead``), so the constants no longer depend on scipy's
+Nelder-Mead internals.  Everything is deterministic: identical series
+produce identical models, and a series scaled by a power of two gives the
+same constants.
 
 Starting state comes from a classical decomposition of the first two years:
 a 2x12 centered moving average gives twelve interior trend values, a least
@@ -100,12 +103,15 @@ def initialize_state(series: MonthlyTimeSeries) -> tuple[float, float, tuple[flo
 
 
 def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
-    """Run the smoothing recursions for one (alpha, beta, gamma) triple.
+    """Run the smoothing recursions for (alpha, beta, gamma).
 
-    Arguments are plain Python floats (or tuples of them), so the loop runs
-    without numpy dispatch.  The grid, the refine, ``one_step_sse`` and the
-    final state all call it; the operation order fixes the fitted results
-    bit for bit, so keep it.  Returns (sse, level, slope, seasonal list).
+    The body uses only ``+ - *``, an integer test and list indexing, so the
+    constants may be plain floats (one triple: the refine, ``one_step_sse``
+    and the final state) or equal-length numpy arrays (every grid triple at
+    once, elementwise).  Each element goes through the same IEEE operations
+    in the same order either way, and that order fixes the fitted results
+    bit for bit, so keep it.  Returns (sse, level, slope, seasonal list),
+    arrays where the constants are arrays.
     """
     level, slope = level0, slope0
     seasonal = list(seasonal0)
@@ -141,18 +147,22 @@ def one_step_sse(series: MonthlyTimeSeries, params: HoltWintersParams) -> float:
 def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     """Fit smoothing constants by one-step SSE minimization.
 
-    The grid is scanned in lexicographic order and its first minimum seeds
-    the bounded ``_simplex.nelder_mead`` refine, run through scipy's
-    ``minimize``, with the tolerances described above.  The
-    model carries the terminal level, slope, and the latest seasonal
-    estimate per calendar month.
+    The grid is scored in one ``_run_filter`` call on the raveled
+    ``indexing="ij"`` meshgrid, so its first minimum is the lexicographic
+    tie-break, and seeds the bounded ``_simplex.nelder_mead`` refine, run
+    through scipy's ``minimize`` on plain floats, with the tolerances
+    described above.  The model carries the terminal level, slope, and the
+    latest seasonal estimate per calendar month.
     """
     state = _state_of(series)
-    grid = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
-    triples = [(a, b, g) for a in grid for b in grid for g in grid]
-    sse = [_run_filter(*state, *abg)[0] for abg in triples]
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    abg = [axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij")]
+    # arrays warn where floats overflow quietly; the isfinite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = _run_filter(*state, *abg)[0]
     best_flat = int(np.argmin(sse))  # first minimum = lexicographic tie-break
-    best, best_sse = triples[best_flat], sse[best_flat]
+    best = tuple(float(axis[best_flat]) for axis in abg)
+    best_sse = float(sse[best_flat])
     if not np.isfinite(best_sse):
         raise ComputationError(
             f"one-step sum of squares is not finite ({best_sse!r}); "

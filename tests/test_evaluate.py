@@ -55,6 +55,21 @@ class TestSummarizeErrors:
         with pytest.raises(InsufficientDataError):
             summarize_errors([1.0])
 
+    @pytest.mark.parametrize("engine", ["holt_winters", "arima"])
+    @pytest.mark.parametrize("protocol", ["fixed_horizon_1", "rolling_one_month"])
+    def test_single_error_raises_before_any_fit(self, cd_series, monkeypatch,
+                                                engine, protocol):
+        from indexcast import evaluate
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
+        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        with pytest.raises(InsufficientDataError):
+            if protocol == "fixed_horizon_1":
+                run_fixed_origin(cd_series, engine, MonthStamp(2014, 12), 1)
+            else:
+                run_rolling(cd_series, engine, MonthStamp(2015, 1), MonthStamp(2015, 1))
+        assert fits == []
+
 
 class TestFixedOrigin:
     def test_deterministic_pattern_forecasts_exactly(self):

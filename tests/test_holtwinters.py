@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from indexcast import (ComputationError, HoltWintersParams, MonthStamp,
                        SeriesTooShortError, fit_holt_winters, forecast_hw,
                        initialize_state, make_series, one_step_sse,
                        slice_window)
+from indexcast.holtwinters import GRID_POINTS, _run_filter, _state_of
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -85,6 +88,106 @@ class TestOneStepSse:
             a, b, g = rng.uniform(0, 1, 3)
             ours = one_step_sse(sc_series, HoltWintersParams(a, b, g))
             assert ours == pytest.approx(oracles.hw_sse(values, 0, a, b, g), rel=1e-9)
+
+
+def seeded_series(seed, n):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    return make_series("2010-01", rng.uniform(10.0, 1e4) * np.exp(
+        rng.normal(0.0, 0.05, n).cumsum()
+        + rng.uniform(0.0, 0.2) * np.sin(2 * np.pi * t / 12)))
+
+
+def jump_series(n=60):
+    # a jump near 1e154 squares past the float range for the slow-adapting
+    # triples only, so some grid SSEs are inf and the rest finite
+    rng = np.random.default_rng(0)
+    return make_series("2010-01", [1e150 * (1.0 + 0.01 * rng.normal())
+                                   + (1e154 if t >= 40 else 0.0)
+                                   for t in range(n)])
+
+
+class TestGridCall:
+    """The grid scores all triples in one array call of the float filter."""
+
+    @staticmethod
+    def float_grid_sse(state):
+        # the reference: one float call per triple, in lexicographic order
+        points = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
+        triples = [(a, b, g) for a in points for b in points for g in points]
+        return triples, [_run_filter(*state, *abg)[0] for abg in triples]
+
+    def grid_sse_hex(self, series):
+        state = _state_of(series)
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)
+        abg = [axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            array_sse = _run_filter(*state, *abg)[0]
+        _, float_sse = self.float_grid_sse(state)
+        return [float(v).hex() for v in array_sse], [v.hex() for v in float_sse]
+
+    @pytest.mark.parametrize("sector", ["CD", "SC"])
+    def test_fixture_windows(self, sector, cd_series, sc_series):
+        series = {"CD": cd_series, "SC": sc_series}[sector]
+        train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
+        array_hex, float_hex = self.grid_sse_hex(train)
+        assert array_hex == float_hex
+
+    @pytest.mark.parametrize("n", [25, 26, 37])
+    def test_short_prefixes(self, n, cd_series, sc_series):
+        for series in (cd_series, sc_series):
+            array_hex, float_hex = self.grid_sse_hex(
+                make_series("2010-01", series.values[:n]))
+            assert array_hex == float_hex
+
+    @pytest.mark.parametrize("seed, n", [(1, 48), (2, 72), (3, 121), (4, 240)])
+    def test_seeded_series(self, seed, n):
+        array_hex, float_hex = self.grid_sse_hex(seeded_series(seed, n))
+        assert array_hex == float_hex
+
+    @pytest.mark.parametrize("sector", ["CD", "SC", "constant"])
+    def test_refine_starts_from_the_first_float_minimum(self, sector, cd_series,
+                                                        sc_series, monkeypatch):
+        # sse.index(min(sse)) is the first minimum the float loop would pick;
+        # the constant series ties every triple at 0
+        from indexcast import holtwinters
+        window = (MonthStamp(2010, 1), MonthStamp(2014, 12))
+        train = {"CD": slice_window(cd_series, *window),
+                 "SC": slice_window(sc_series, *window),
+                 "constant": make_series("2010-01", [42.0] * 36)}[sector]
+        starts = []
+        real_minimize = holtwinters.minimize
+
+        def spy(fun, x0, **kwargs):
+            starts.append((x0, kwargs["options"]["fatol"]))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(holtwinters, "minimize", spy)
+        fit_holt_winters(train)
+        triples, sse = self.float_grid_sse(_state_of(train))
+        first = sse.index(min(sse))
+        [(x0, fatol)] = starts
+        assert x0 == triples[first] and all(type(v) is float for v in x0)
+        assert type(fatol) is float and fatol == 1e-10 * sse[first]
+
+    def test_ties_break_toward_the_smallest_triple(self, monkeypatch):
+        # a surface that is zero on the planes alpha = 0.3 and beta = 0.5:
+        # only the scan order picks (0, 0.5, 0) over (0.3, 0, 0)
+        from indexcast import holtwinters
+        points = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
+
+        def surface(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
+            sse = ((alpha - points[3]) * (beta - points[5])) ** 2
+            return sse, level0, slope0, list(seasonal0)
+
+        monkeypatch.setattr(holtwinters, "_run_filter", surface)
+        model = fit_holt_winters(trend_seasonal_series(100.0, 5.0, 36))
+        assert model.params == HoltWintersParams(0.0, points[5], 0.0)
+
+    def test_non_finite_positions(self):
+        array_hex, float_hex = self.grid_sse_hex(jump_series())
+        assert array_hex == float_hex
+        assert 0 < float_hex.count("inf") < len(float_hex)
 
 
 class TestFit:
@@ -166,6 +269,15 @@ class TestFit:
         series = trend_seasonal_series(1e200, 1e197, 60)
         with np.errstate(all="ignore"), pytest.raises(ComputationError):
             fit_holt_winters(series)
+
+    def test_overflow_raises_without_a_warning(self):
+        # no errstate here: the library itself must keep the grid's
+        # overflowing array arithmetic quiet, as plain floats are
+        series = trend_seasonal_series(1e200, 1e197, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError):
+                fit_holt_winters(series)
 
 
 class TestForecast:
