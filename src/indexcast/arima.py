@@ -1,18 +1,22 @@
 """ARIMA(p,d,q) with optional drift, fitted by conditional sum of squares.
 
-Coefficients minimize the CSS objective (pre-sample innovations zero) by
-a bounded Nelder-Mead simplex from an all-zero start, the bounds keeping
-every coefficient in |coef| <= 0.99.  The simplex is the package's own
-plain-float copy of scipy's (``_simplex.nelder_mead``), so fitted values no
-longer depend on scipy's Nelder-Mead internals.  Orders are compared by
-small-sample-corrected AIC over a grid of p, q in 0..5 with drift as a
-searchable flag.  Every candidate's AICc is computed over the same n - d
-differenced observations, whatever its p, so the comparison does not depend
-on the units of the data; candidates whose AICc is not finite, or whose AR
-or MA polynomial has a root on or inside the unit circle (not stationary or
-not invertible), are skipped; the winner is returned as fitted.  Forecasts
-iterate the ARMA recursion on the differenced scale with future innovations
-set to zero, then re-integrate from the retained training tail.
+The d = 0 mean, or the drift, is the sample mean of the (differenced)
+series and is removed before the fit, as in the mean correction of
+Brockwell & Davis (*Introduction to Time Series and Forecasting*, section
+5.1).  The coefficients then minimize the CSS objective (pre-sample
+innovations zero) by a bounded Nelder-Mead simplex from an all-zero start,
+the bounds keeping every coefficient in |coef| <= 0.99.  The simplex is the
+package's own plain-float copy of scipy's (``_simplex.nelder_mead``), so
+fitted values no longer depend on scipy's Nelder-Mead internals.  Orders
+are compared by small-sample-corrected AIC over a grid of p, q in 0..5 with
+drift as a searchable flag.  Every candidate's AICc is computed over the
+same n - d differenced observations, whatever its p, so the comparison does
+not depend on the units of the data; candidates whose AICc is not finite,
+or whose AR or MA polynomial has a root on or inside the unit circle (not
+stationary or not invertible), are skipped; the winner is returned as
+fitted.  Forecasts iterate the ARMA recursion on the differenced scale with
+future innovations set to zero, then re-integrate from the retained
+training tail.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class ArimaOrder:
         if not 0 <= self.d <= MAX_D:
             raise ValueError(f"d must be in 0..{MAX_D}, got {self.d}")
         if self.drift and self.d < 1:
-            raise ValueError("drift requires d >= 1; with d=0 the mean term "
-                             "is estimated instead")
+            raise ValueError("drift requires d >= 1; with d=0 the series "
+                             "mean is removed instead")
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,9 @@ class TrainTail:
 class ArimaModel:
     """Fitted coefficients, innovation variance, and fit diagnostics.
 
-    ``drift_value`` is the per-step mean on the differenced scale: the mean
-    of the differenced series when drift is enabled, the estimated mean
-    term when d = 0, and zero otherwise.
+    ``drift_value`` is the per-step mean on the differenced scale, removed
+    before the fit: the sample mean of the differenced series when drift is
+    enabled, the sample mean of the series when d = 0, and zero otherwise.
     """
 
     order: ArimaOrder
@@ -132,14 +136,13 @@ def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float,
     return tuple(float(v) for v in out)
 
 
-def _css_residuals(diffed: np.ndarray, p: int, q: int, mu: float):
-    """CSS residuals e_t, t = p..len(diffed)-1, as a function of (ar, ma).
+def _css_residuals(w: np.ndarray, p: int, q: int):
+    """CSS residuals e_t, t = p..len(w)-1, as a function of (ar, ma).
 
-    Pre-sample e are treated as 0.  The demeaned series, its AR lag views
-    and the MA denominator array are built here once for a fixed mu, so each
-    call only runs the recursion.
+    ``w`` is the mean-removed differenced series; pre-sample e are treated
+    as 0.  Its AR lag views and the MA denominator array are built here
+    once, so each call only runs the recursion.
     """
-    w = diffed - mu
     n = len(w)
     head = w[p:]
     lags = [w[p - i:n - i] for i in range(1, p + 1)]
@@ -159,98 +162,77 @@ def _css_residuals(diffed: np.ndarray, p: int, q: int, mu: float):
 
 def css_objective(diffed: Sequence[float], order: ArimaOrder,
                   ar: Sequence[float], ma: Sequence[float], mu: float) -> float:
-    """Conditional sum of squared residuals of an ARMA(p,q) on `diffed`."""
+    """Conditional sum of squared residuals of an ARMA(p,q) on `diffed` - mu."""
     if len(ar) != order.p or len(ma) != order.q:
         raise ValueError(f"coefficient lengths {len(ar)},{len(ma)} do not "
                          f"match order ({order.p},{order.d},{order.q})")
-    e = _css_residuals(np.asarray(diffed, dtype=float), order.p, order.q,
-                       mu)(np.asarray(ar, dtype=float),
-                           np.asarray(ma, dtype=float))
+    e = _css_residuals(np.asarray(diffed, dtype=float) - mu, order.p,
+                       order.q)(np.asarray(ar, dtype=float),
+                                np.asarray(ma, dtype=float))
     return float(e @ e)
 
 
-def _optimize_css(z: np.ndarray, p: int, q: int, mu_fixed: float | None):
-    """Minimize CSS over (ar, ma[, mu]) by Nelder-Mead from the origin.
-
-    The simplex is ``_simplex.nelder_mead``, run through scipy's
-    ``minimize``; it reproduces scipy's own Nelder-Mead bit for bit on plain
-    floats, so fitted values do not depend on scipy's implementation of it.
-    ``bounds`` keep every coefficient in |coef| <= COEF_BOUND; the budget is
-    ``_EVALS_PER_DIM`` evaluations per parameter.  mu is fixed for d >= 1
-    models, and the residual function is then set up once per fit; when
-    mu_fixed is None it is estimated jointly, unbounded (the d = 0 mean
-    term, started at the sample mean).  Returns
-    (ar, ma, mu, residuals), the residuals being those at the optimum; with
-    nothing to estimate the optimizer is not called.
-    """
-    joint_mean = mu_fixed is None
-    fixed = None if joint_mean else _css_residuals(z, p, q, mu_fixed)
-
-    def split(x):
-        mu = x[p + q] if joint_mean else mu_fixed
-        return x[:p], x[p:p + q], mu
-
-    def residuals(x):
-        ar, ma, mu = split(x)
-        return (fixed or _css_residuals(z, p, q, mu))(ar, ma)
-
-    def objective(x):
-        e = residuals(x)
-        return float(e @ e)
-
-    x = np.zeros(p + q)
-    bounds = [(-COEF_BOUND, COEF_BOUND)] * (p + q)
-    if joint_mean:
-        x = np.append(x, z.mean())
-        bounds.append((None, None))
-    if len(x):
-        f0 = objective(x)
-        x = minimize(objective, x, method=nelder_mead, bounds=bounds,
-                     options=dict(xatol=1e-4, fatol=1e-9 * abs(f0),
-                                  maxfev=_EVALS_PER_DIM * len(x))).x
-    return (*split(x), residuals(x))
-
-
 def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
-    """Estimate coefficients for a fixed order by CSS minimization."""
+    """Estimate coefficients for a fixed order by CSS minimization.
+
+    The d = 0 mean, or the drift, is the sample mean of the differenced
+    series (of the series itself when d = 0), removed before the fit.  The
+    p + q coefficients then minimize CSS by
+    ``_simplex.nelder_mead``, run through scipy's ``minimize``, from the
+    origin; ``bounds`` keep each in |coef| <= COEF_BOUND, and the budget is
+    ``_EVALS_PER_DIM`` evaluations per coefficient.  With no coefficient to
+    estimate the optimizer is not called.
+    """
     n = len(series)
-    if n - order.d < 10 + order.p + order.q:
+    p, q = order.p, order.q
+    if n - order.d < 10 + p + q:
         raise SeriesTooShortError(
-            f"need at least {10 + order.p + order.q + order.d} months for "
-            f"order ({order.p},{order.d},{order.q}), got {n}")
+            f"need at least {10 + p + q + order.d} months for "
+            f"order ({p},{order.d},{q}), got {n}")
     diffed = np.asarray(series.values, dtype=float)
     level_tails = []
     for _ in range(order.d):
         level_tails.append(float(diffed[-1]))
         diffed = np.diff(diffed)
-    if order.d == 0:
-        mu, has_mean = None, True
-    else:
-        mu = float(diffed.mean()) if order.drift else 0.0
-        has_mean = order.drift
-    ar, ma, mu, resid = _optimize_css(diffed, order.p, order.q, mu)
+    has_mean = order.d == 0 or order.drift
+    mu = float(diffed.mean()) if has_mean else 0.0
+    w = diffed - mu
+    residuals = _css_residuals(w, p, q)
+
+    def objective(x):
+        e = residuals(x[:p], x[p:])
+        return float(e @ e)
+
+    x = np.zeros(p + q)
+    if p + q:
+        x = minimize(objective, x, method=nelder_mead,
+                     bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
+                     options=dict(xatol=1e-4, fatol=1e-9 * objective(x),
+                                  maxfev=_EVALS_PER_DIM * (p + q))).x
+    ar, ma = x[:p], x[p:]
+    resid = residuals(ar, ma)
     css = float(resid @ resid)
     # sigma2 averages the n - d - p residuals CSS has; the likelihood and
     # the small-sample correction use the common n - d sample, so that
     # candidates of every p are scored on the same observations
     n_used = len(diffed)
-    sigma2 = css / (n_used - order.p)
-    k = order.p + order.q + (1 if has_mean else 0) + 1
+    sigma2 = css / (n_used - p)
+    k = p + q + (1 if has_mean else 0) + 1
     # the length check above leaves n_used - k - 1 >= 7
     aicc = (n_used * math.log(max(sigma2, 1e-300)) + 2 * k
             + 2 * k * (k + 1) / (n_used - k - 1))
 
     # the length check leaves len(resid) = n - d - p >= 10 + q >= tail_len
-    tail_len = max(order.p, order.q, 1)
+    tail_len = max(p, q, 1)
     tail = TrainTail(
-        demeaned_diffs=tuple(float(v) for v in diffed[-tail_len:] - mu),
+        demeaned_diffs=tuple(float(v) for v in w[-tail_len:]),
         residuals=tuple(float(v) for v in resid[-tail_len:]),
         level_tails=tuple(level_tails),
     )
     return ArimaModel(order=order,
                       ar_coeffs=tuple(float(v) for v in ar),
                       ma_coeffs=tuple(float(v) for v in ma),
-                      drift_value=float(mu),
+                      drift_value=mu,
                       sigma2=sigma2,
                       css=css,
                       aicc=aicc,

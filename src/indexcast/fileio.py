@@ -3,7 +3,8 @@
 Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month is supplied out of band and must
 match a ``# start YYYY-MM`` line if the file has one.  Daily CSV: header
-``date,value`` with ISO-8601 dates.
+``date,value`` with ISO-8601 dates.  Both readers skip a leading UTF-8 byte
+order mark, as spreadsheet programs write one.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def read_values_file(path: str | Path, start: MonthStamp) -> MonthlyTimeSeries:
     A ``# start YYYY-MM`` line naming another month raises ``DataError``.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if text.startswith("#"):
@@ -71,7 +72,7 @@ def write_values_file(path: str | Path, series: MonthlyTimeSeries,
 def read_daily_csv(path: str | Path) -> tuple[DailyObservation, ...]:
     """Read a ``date,value`` CSV with ISO dates into daily observations."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

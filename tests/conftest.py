@@ -62,13 +62,8 @@ def window_selections(cd_series, sc_series):
     return out
 
 
-@pytest.fixture(scope="session")
-def method_reports(cd_series, sc_series):
-    """Every method run on both fixtures, computed once per session.
-
-    Keyed by (sector, method); the rolling ARIMA runs dominate the suite's
-    runtime, so everything downstream shares these results.
-    """
+def run_methods(cd_series, sc_series):
+    """Every method run on both fixtures, keyed by (sector, method)."""
     import os
 
     from indexcast import run_fixed_origin, run_rolling, run_trend_seasonal
@@ -85,3 +80,13 @@ def method_reports(cd_series, sc_series):
         out[sector, "V"] = run_rolling(series, "arima", eval_start, eval_end,
                                        workers=workers)
     return out
+
+
+@pytest.fixture(scope="session")
+def method_reports(cd_series, sc_series):
+    """Every method run on both fixtures, computed once per session.
+
+    Keyed by (sector, method); the rolling ARIMA runs dominate the suite's
+    runtime, so everything downstream shares these results.
+    """
+    return run_methods(cd_series, sc_series)

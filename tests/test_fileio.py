@@ -112,3 +112,17 @@ class TestDailyCsv:
         with pytest.raises(ParseError, match="non-finite value") as exc:
             read_daily_csv(path)
         assert exc.value.line_number == 3
+
+
+@pytest.mark.parametrize("text, read", [
+    ("# start 2010-01\n100\n200.5\n",
+     lambda path: read_values_file(path, MonthStamp(2010, 1))),
+    ("date,value\n2010-01-04,3875.25\n2010-02-01,3904.75\n", read_daily_csv),
+], ids=["values", "daily_csv"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, text, read):
+    # spreadsheet programs start a UTF-8 file with U+FEFF
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(marked) == read(plain)

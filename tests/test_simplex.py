@@ -71,12 +71,14 @@ class TestLibraryObjectives:
         assert 0 < stopped < 70  # some fits stop at the evaluation cap
 
     @pytest.mark.parametrize("p, q", [(0, 0), (1, 1), (3, 2)])
-    def test_joint_mean_fit(self, p, q, cd_series, library_runs):
+    def test_mean_removed_fit(self, p, q, cd_series, library_runs):
+        # the d = 0 mean is removed before the fit, so the simplex sees only
+        # the bounded coefficients, and (0,0,0) has nothing to estimate
         train = slice_window(cd_series, START, TRAIN_END)
         diffs = MonthlyTimeSeries(train.start, np.diff(train.values).tolist())
         fit_arima(diffs, ArimaOrder(p, 0, q))
-        (bounds, _), = library_runs
-        assert bounds[-1] == (None, None)  # the mean is unbounded
+        box = [(-arima.COEF_BOUND, arima.COEF_BOUND)] * (p + q)
+        assert [bounds for bounds, _ in library_runs] == ([box] if p + q else [])
 
     def test_holt_winters_refine(self, cd_series, sc_series, library_runs):
         fit_holt_winters(cd_series)
