@@ -4,13 +4,13 @@ A step-for-step copy of scipy 1.17's ``_minimize_neldermead`` without the
 adaptive option (Nelder & Mead 1965; Lagarias et al. 1998): the same start
 simplex, bound clipping, step order, evaluation budget, convergence test
 and result fields, so it returns bit for bit what
-``minimize(fun, x0, method="Nelder-Mead", bounds=..., options=...)``
-returns.  scipy runs each step as numpy calls on arrays of one to eleven
-elements, where the call overhead outweighs the arithmetic; here every
-vertex is a list of floats.  Pass it to ``scipy.optimize.minimize`` as
-``method=nelder_mead`` with ``bounds=`` and a ``maxfev`` option, the only
-budget: minimize hands a callable method the raw bounds and options, and
-``fun`` receives each trial point as a list of floats.
+``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", bounds=...,
+options=...)`` returns.  scipy runs each step as numpy calls on arrays of
+one to eleven elements, where the call overhead outweighs the arithmetic;
+here every vertex is a list of floats.  Both model fits call it directly.
+It is named ``minimize`` because the benchmark's tracer (``bench/spans.py``)
+wraps the ``minimize`` attribute of ``indexcast.arima`` and
+``indexcast.holtwinters`` to count evaluations and unconverged runs.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult
 
 _NONZDELT = 0.05  # start-simplex step, relative, for a nonzero coordinate
 _ZDELT = 0.00025  # start-simplex step for a zero coordinate
@@ -40,20 +40,19 @@ def _sorted(sim, fsim):
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
-                callback, maxfev, xatol=1e-4, fatol=1e-4):
+def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
     """Minimize ``fun`` from ``x0``; the options are scipy's Nelder-Mead ones.
 
-    ``bounds`` is a sequence of (low, high) pairs, None for no bound.
+    ``bounds`` holds float (low, high) pairs; an infinite end is no bound.
     ``maxfev`` is the only budget: scipy given only maxfev caps no iterations.
-    minimize passes jac, hess, hessp, constraints and callback to every
-    custom method; none of them applies here.  Any other option
-    (``adaptive``, ``initial_simplex``, a misspelt name) raises TypeError.
-    ``fun`` must not modify the list it is given.
+    Any other option (``adaptive``, ``initial_simplex``, a misspelt name)
+    raises TypeError.  ``fun`` receives each trial point as a list of floats
+    and must not modify it.  The result has scipy's field names: the best
+    vertex ``x`` as a list of floats, ``fun``, ``nfev``, ``nit``, ``success``.
     """
     n = len(x0)
-    lower = [-math.inf if lo is None else float(lo) for lo, _ in bounds]
-    upper = [math.inf if hi is None else float(hi) for _, hi in bounds]
+    lower = [lo for lo, _ in bounds]
+    upper = [hi for _, hi in bounds]
 
     def clip(x):
         # np.clip's comparisons in its order: a NaN stays NaN, and -0.0
@@ -68,7 +67,7 @@ def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(fun(x, *args))  # scipy stores values as float64
+        return float(fun(x))  # scipy stores values as float64
 
     start = clip([float(v) for v in x0])
     sim = [start]
@@ -139,6 +138,6 @@ def nelder_mead(fun, x0, *, args, jac, hess, hessp, bounds, constraints,
             pass
         sim, fsim = _sorted(sim, fsim)
 
-    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nfev=nfev,
-                          nit=iterations, status=int(nfev >= maxfev),
-                          success=nfev < maxfev)
+    # np.min, not min(): a NaN value must propagate to fun
+    return SimpleNamespace(x=sim[0], fun=float(np.min(fsim)), nfev=nfev,
+                           nit=iterations, success=nfev < maxfev)

@@ -6,7 +6,7 @@ Brockwell & Davis (*Introduction to Time Series and Forecasting*, section
 5.1).  The coefficients then minimize the CSS objective (pre-sample
 innovations zero) by a bounded Nelder-Mead simplex from an all-zero start,
 the bounds keeping every coefficient in |coef| <= 0.99.  The simplex is the
-package's own plain-float copy of scipy's (``_simplex.nelder_mead``), so
+package's own plain-float copy of scipy's (``_simplex.minimize``), so
 fitted values no longer depend on scipy's Nelder-Mead internals.  Orders
 are compared by small-sample-corrected AIC over a grid of p, q in 0..5 with
 drift as a searchable flag.  Every candidate's AICc is computed over the
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 
-from ._simplex import nelder_mead
+from ._simplex import minimize
 from .errors import SelectionFailedError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
@@ -177,8 +176,7 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
 
     The d = 0 mean, or the drift, is the sample mean of the differenced
     series (of the series itself when d = 0), removed before the fit.  The
-    p + q coefficients then minimize CSS by
-    ``_simplex.nelder_mead``, run through scipy's ``minimize``, from the
+    p + q coefficients then minimize CSS by ``_simplex.minimize`` from the
     origin; ``bounds`` keep each in |coef| <= COEF_BOUND, and the budget is
     ``_EVALS_PER_DIM`` evaluations per coefficient.  With no coefficient to
     estimate the optimizer is not called.
@@ -203,12 +201,12 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
         e = residuals(x[:p], x[p:])
         return float(e @ e)
 
-    x = np.zeros(p + q)
+    x = [0.0] * (p + q)
     if p + q:
-        x = minimize(objective, x, method=nelder_mead,
+        x = minimize(objective, x,
                      bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
-                     options=dict(xatol=1e-4, fatol=1e-9 * objective(x),
-                                  maxfev=_EVALS_PER_DIM * (p + q))).x
+                     xatol=1e-4, fatol=1e-9 * objective(x),
+                     maxfev=_EVALS_PER_DIM * (p + q)).x
     ar, ma = x[:p], x[p:]
     resid = residuals(ar, ma)
     css = float(resid @ resid)

@@ -9,7 +9,7 @@ same filter: the grid scores all 1331 triples in one call on numpy arrays,
 the refine runs it on plain floats one triple at a time, and both perform
 the same IEEE operations in the same order, so they agree bit for bit.
 The simplex is the package's plain-float copy of scipy's
-(``_simplex.nelder_mead``), so the constants no longer depend on scipy's
+(``_simplex.minimize``), so the constants no longer depend on scipy's
 Nelder-Mead internals.  Everything is deterministic: identical series
 produce identical models, and a series scaled by a power of two gives the
 same constants.
@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._simplex import nelder_mead
+from ._simplex import minimize
 from .decompose import centered_moving_average_trend, seasonal_indices
 from .errors import ComputationError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
@@ -149,10 +148,10 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
 
     The grid is scored in one ``_run_filter`` call on the raveled
     ``indexing="ij"`` meshgrid, so its first minimum is the lexicographic
-    tie-break, and seeds the bounded ``_simplex.nelder_mead`` refine, run
-    through scipy's ``minimize`` on plain floats, with the tolerances
-    described above.  The model carries the terminal level, slope, and the
-    latest seasonal estimate per calendar month.
+    tie-break, and seeds the bounded ``_simplex.minimize`` refine, on plain
+    floats, with the tolerances described above.  The model carries the
+    terminal level, slope, and the latest seasonal estimate per calendar
+    month.
     """
     state = _state_of(series)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
@@ -171,13 +170,11 @@ def fit_holt_winters(series: MonthlyTimeSeries) -> HoltWintersModel:
     def objective(x):
         return _run_filter(*state, *x)[0]
 
-    result = minimize(objective, best, method=nelder_mead,
-                      bounds=[(0.0, 1.0)] * 3,
-                      options=dict(xatol=SIMPLEX_DIAMETER,
-                                   fatol=1e-10 * best_sse,
-                                   maxfev=_MAX_REFINE_EVALS))
+    result = minimize(objective, best, bounds=[(0.0, 1.0)] * 3,
+                      xatol=SIMPLEX_DIAMETER, fatol=1e-10 * best_sse,
+                      maxfev=_MAX_REFINE_EVALS)
     if result.fun < best_sse:
-        best = result.x.tolist()
+        best = result.x
     final_sse, level, slope, seasonal = _run_filter(*state, *best)
     return HoltWintersModel(
         params=HoltWintersParams(*best),

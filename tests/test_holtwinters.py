@@ -159,7 +159,7 @@ class TestGridCall:
         real_minimize = holtwinters.minimize
 
         def spy(fun, x0, **kwargs):
-            starts.append((x0, kwargs["options"]["fatol"]))
+            starts.append((x0, kwargs["fatol"]))
             return real_minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(holtwinters, "minimize", spy)
