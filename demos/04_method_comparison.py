@@ -5,8 +5,8 @@ Method III:  Holt-Winters on the decomposed trend plus seasonal indices.
 Method IV/V: ARIMA with a 12-month / 1-month horizon (order reselected
 every month for method V).
 
-The rolling methods refit for every month of 2015, so this takes a minute
-on one core; refits run in a small process pool.
+The rolling methods refit for every month of 2015, in a small process
+pool; the whole run takes a few seconds.
 """
 
 import os

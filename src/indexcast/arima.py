@@ -8,15 +8,17 @@ innovations zero) by a bounded Nelder-Mead simplex from an all-zero start,
 the bounds keeping every coefficient in |coef| <= 0.99.  The simplex is the
 package's own plain-float copy of scipy's (``_simplex.minimize``), so
 fitted values no longer depend on scipy's Nelder-Mead internals.  Orders
-are compared by small-sample-corrected AIC over a grid of p, q in 0..5 with
-drift as a searchable flag.  Every candidate's AICc is computed over the
-same n - d differenced observations, whatever its p, so the comparison does
-not depend on the units of the data; candidates whose AICc is not finite,
-or whose AR or MA polynomial has a root on or inside the unit circle (not
-stationary or not invertible), are skipped; the winner is returned as
-fitted.  Forecasts iterate the ARMA recursion on the differenced scale with
-future innovations set to zero, then re-integrate from the retained
-training tail.
+are selected by the stepwise search of Hyndman & Khandakar (2008), which
+walks p, q in 0..5 and the drift flag one step at a time toward lower
+small-sample-corrected AIC and fits about a dozen of the 72 candidates.
+Every candidate's AICc is computed over the same n - d differenced
+observations, whatever its p, so the comparison does not depend on the
+units of the data; candidates whose AICc is not finite, or whose AR or MA
+polynomial has a root on or inside the unit circle (not stationary or not
+invertible), score +inf; the winner is returned as fitted.  Forecasts
+iterate the ARMA recursion on the differenced scale with future
+innovations set to zero, then re-integrate from the retained training
+tail.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._simplex import minimize
 from .errors import SelectionFailedError, SeriesTooShortError
@@ -38,6 +39,9 @@ MAX_D = 2
 COEF_BOUND = 0.99
 _EVALS_PER_DIM = 200
 _ACF1_STATIONARY = 0.9
+# the stepwise search's moves of (p, q), in the order they are tried
+_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1),
+          (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,11 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
     as 0.  Its AR lag views and the MA denominator array are built here
     once, so each call only runs the recursion.
     """
+    # imported here, not at the top: only ARIMA fits need scipy, and
+    # scipy.signal imports scipy.optimize and scipy.stats, which would slow
+    # the start of every CLI call
+    from scipy.signal import lfilter
+
     n = len(w)
     head = w[p:]
     lags = [w[p - i:n - i] for i in range(1, p + 1)]
@@ -266,42 +275,61 @@ def _roots_outside_unit_circle(coeffs: Sequence[float]) -> bool:
 
 
 def select_order(series: MonthlyTimeSeries) -> ArimaModel:
-    """Fit every candidate order and return the one with minimum AICc.
+    """Select p, q and drift by the stepwise search of Hyndman & Khandakar.
 
-    d comes from the stationarity heuristic; p and q range over 0..5 with
-    drift searchable when d = 1.  AICc is compared over the common n - d
-    differenced sample.  Ties break toward smaller p+q, then smaller p.
-    Candidates whose AICc is not finite (the sums of squares overflow) are
-    skipped, and so are fits that are not stationary or not invertible (an
-    AR or MA root with |root| <= 1): their CSS residuals are not the
-    innovations.  (p, q) = (0, 0) has no roots, so the root test alone
-    never leaves the grid empty on finite data.  The winner is returned as
-    fitted, equal to ``fit_arima(series, winner.order)``.
+    d comes from the stationarity heuristic.  The search (*J. Stat. Softw.*
+    27(3), 2008; the default of R's ``auto.arima``) starts from the best of
+    (2,d,2), (0,d,0), (1,d,0) and (0,d,1), with drift when d = 1, and, when
+    d = 1, (0,d,0) without drift.  From the best model so far it tries p-1,
+    p+1, q-1, q+1, the four joint moves of p and q by one, then the drift
+    toggle (d = 1 only), keeping p and q in 0..5, and moves to the first
+    candidate with a lower key; it stops when no neighbour is lower.  The
+    key is (AICc, p+q, p, q, drift), AICc compared over the common n - d
+    differenced sample, so ties break toward smaller p+q, then smaller p.
+    A fit whose AICc is not finite (the sums of squares overflow), or that
+    is not stationary or not invertible (an AR or MA root with
+    |root| <= 1), scores AICc +inf: its CSS residuals are not the
+    innovations.  Each (p, q, drift) is fitted at most once.  The winner
+    is returned as fitted, equal to ``fit_arima(series, winner.order)``.
     """
     if len(series) < 24:
         raise SeriesTooShortError(
             f"order selection needs at least 24 months, got {len(series)}")
     d = choose_difference_order(series)
-    drift_options = (False, True) if d == 1 else (False,)
-    best_key = None
-    best_model = None
-    for drift in drift_options:
-        for p in range(MAX_P + 1):
-            for q in range(MAX_Q + 1):
-                order = ArimaOrder(p, d, q, drift)
-                model = fit_arima(series, order)  # n - d >= 22 >= 10 + p + q
-                # AR polynomial 1 - sum phi_k z^k, MA polynomial 1 + sum theta_k z^k
-                if (not math.isfinite(model.aicc)
-                        or not _roots_outside_unit_circle(
-                            [-c for c in model.ar_coeffs])
-                        or not _roots_outside_unit_circle(model.ma_coeffs)):
-                    continue
-                key = (model.aicc, p + q, p, q, drift)
-                if best_key is None or key < best_key:
-                    best_key, best_model = key, model
-    if best_model is None:
+    fits = {}
+
+    def scored(p, q, drift):
+        if (p, q, drift) not in fits:
+            # n - d >= 22 >= 10 + p + q, so every order in range can be fitted
+            model = fit_arima(series, ArimaOrder(p, d, q, drift))
+            # AR polynomial 1 - sum phi_k z^k, MA 1 + sum theta_k z^k
+            usable = (math.isfinite(model.aicc)
+                      and _roots_outside_unit_circle(
+                          [-c for c in model.ar_coeffs])
+                      and _roots_outside_unit_circle(model.ma_coeffs))
+            key = (model.aicc if usable else math.inf, p + q, p, q, drift)
+            fits[p, q, drift] = key, model
+        return fits[p, q, drift]
+
+    drift = d == 1
+    # (0, 0, False) is the fifth start when d = 1 and a cached repeat else
+    best = min([(2, 2, drift), (0, 0, drift), (1, 0, drift), (0, 1, drift),
+                (0, 0, False)], key=lambda c: scored(*c)[0])
+    while True:
+        p, q, drift = best
+        moves = [(p + dp, q + dq, drift) for dp, dq in _STEPS
+                 if 0 <= p + dp <= MAX_P and 0 <= q + dq <= MAX_Q]
+        if d == 1:
+            moves.append((p, q, not drift))
+        step = next((c for c in moves if scored(*c)[0] < scored(*best)[0]),
+                    None)
+        if step is None:
+            break
+        best = step
+    key, model = scored(*best)
+    if key[0] == math.inf:
         raise SelectionFailedError("no candidate order produced a usable fit")
-    return best_model
+    return model
 
 
 def forecast_arima(model: ArimaModel, horizon: int) -> tuple[float, ...]:

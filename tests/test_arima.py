@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from indexcast import arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
                        SeriesTooShortError, choose_difference_order,
                        css_objective, difference, fit_arima, forecast_arima,
@@ -204,7 +205,46 @@ def _roots_outside_unit_circle(coeffs):
     return bool(np.all(np.abs(np.roots(list(coeffs)[::-1] + [1.0])) > 1.0))
 
 
+def _search_key(model):
+    """select_order's ranking key, an unusable fit scoring AICc +inf."""
+    o = model.order
+    usable = (math.isfinite(model.aicc)
+              and _roots_outside_unit_circle([-c for c in model.ar_coeffs])
+              and _roots_outside_unit_circle(model.ma_coeffs))
+    return (model.aicc if usable else math.inf, o.p + o.q, o.p, o.q, o.drift)
+
+
 class TestSelectOrder:
+    def test_stepwise_search(self, window_selections, monkeypatch):
+        fitted = []
+        fit = arima.fit_arima
+
+        def recording_fit(series, order):
+            fitted.append(fit(series, order))
+            return fitted[-1]
+
+        monkeypatch.setattr(arima, "fit_arima", recording_fit)
+        fits_per_sector = {}
+        for sector, (train, selected) in window_selections.items():
+            fitted.clear()
+            assert select_order(train) == selected
+            keys = {(m.order.p, m.order.q, m.order.drift): _search_key(m)
+                    for m in fitted}
+            assert len(keys) == len(fitted), f"{sector}: an order fitted twice"
+            # the search stops only where every neighbour has been tried and
+            # none is lower: p and q each moved by one within 0..5, and the
+            # drift toggle (both fixtures difference once)
+            o = selected.order
+            p, q, drift = o.p, o.q, o.drift
+            neighbours = [(p + dp, q + dq, drift)
+                          for dp in (-1, 0, 1) for dq in (-1, 0, 1)
+                          if (dp, dq) != (0, 0)
+                          and 0 <= p + dp <= MAX_P and 0 <= q + dq <= MAX_Q]
+            for neighbour in neighbours + [(p, q, not drift)]:
+                assert keys[p, q, drift] < keys[neighbour], (sector, neighbour)
+            fits_per_sector[sector] = len(fitted)
+        assert fits_per_sector == {"CD": 9, "SC": 13}
+
     def test_ramp_selects_difference_and_fits_exactly(self):
         s = make_series("2010-01", [100.0 + 5.0 * t for t in range(30)])
         model = select_order(s)

@@ -1,6 +1,9 @@
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,17 @@ from indexcast.cli import main
 
 CD = str(DATA_DIR / "consumer_durables_monthly.txt")
 SC = str(DATA_DIR / "small_cap_monthly.txt")
+
+
+def test_import_leaves_scipy_out():
+    # scipy.signal imports scipy.optimize and scipy.stats; only an ARIMA fit
+    # needs it, so a CLI call that fits no ARIMA model must not pay for it
+    src = str(DATA_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    check = "import sys, indexcast.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env,
+                          timeout=60).returncode == 0
 
 
 def run_cli(capsys, *argv):

@@ -1,7 +1,4 @@
-"""Smoke test: the demo scripts run to completion and print their report.
-
-Demo 04 is left out: its rolling ARIMA runs take tens of seconds.
-"""
+"""Smoke test: the demo scripts run to completion and print their report."""
 
 import pathlib
 import runpy
@@ -16,6 +13,7 @@ DEMOS = pathlib.Path(__file__).parent.parent / "demos"
     ("01_decompose_sectors.py", "=== Small Cap: 72 months"),
     ("02_holt_winters_forecast.py", "fitted model:"),
     ("03_arima_selection.py", "selected order: ArimaOrder("),
+    ("04_method_comparison.py", "lowest mean error: method"),
     ("05_structural_stability.py", "=== Small Cap: 36 overlap months"),
 ])
 def test_demo_runs(script, expected, capsys, monkeypatch):
