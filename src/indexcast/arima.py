@@ -13,12 +13,12 @@ walks p, q in 0..5 and the drift flag one step at a time toward lower
 small-sample-corrected AIC and fits about a dozen of the 72 candidates.
 Every candidate's AICc is computed over the same n - d differenced
 observations, whatever its p, so the comparison does not depend on the
-units of the data; candidates whose AICc is not finite, or whose AR or MA
-polynomial has a root on or inside the unit circle (not stationary or not
-invertible), score +inf; the winner is returned as fitted.  Forecasts
-iterate the ARMA recursion on the differenced scale with future
-innovations set to zero, then re-integrate from the retained training
-tail.
+units of the data; candidates whose simplex did not converge, whose AICc
+is not finite, or whose AR or MA polynomial has a root on or inside the
+unit circle (not stationary or not invertible), score +inf; the winner is
+returned as fitted.  Forecasts iterate the ARMA recursion on the
+differenced scale with future innovations set to zero, then re-integrate
+from the retained training tail.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class ArimaModel:
     ``drift_value`` is the per-step mean on the differenced scale, removed
     before the fit: the sample mean of the differenced series when drift is
     enabled, the sample mean of the series when d = 0, and zero otherwise.
+    ``converged`` is False when the simplex stopped at its evaluation cap;
+    a fit with no coefficient to estimate is converged.
     """
 
     order: ArimaOrder
@@ -98,6 +100,7 @@ class ArimaModel:
     aicc: float
     train_tail: TrainTail
     train_span: tuple[MonthStamp, MonthStamp]
+    converged: bool = True
 
     def summary(self) -> str:
         o = self.order
@@ -187,8 +190,9 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
     series (of the series itself when d = 0), removed before the fit.  The
     p + q coefficients then minimize CSS by ``_simplex.minimize`` from the
     origin; ``bounds`` keep each in |coef| <= COEF_BOUND, and the budget is
-    ``_EVALS_PER_DIM`` evaluations per coefficient.  With no coefficient to
-    estimate the optimizer is not called.
+    ``_EVALS_PER_DIM`` evaluations per coefficient; the model records
+    whether the simplex converged within it.  With no coefficient to
+    estimate the optimizer is not called and the fit is converged.
     """
     n = len(series)
     p, q = order.p, order.q
@@ -211,11 +215,13 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
         return float(e @ e)
 
     x = [0.0] * (p + q)
+    converged = True
     if p + q:
-        x = minimize(objective, x,
-                     bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
-                     xatol=1e-4, fatol=1e-9 * objective(x),
-                     maxfev=_EVALS_PER_DIM * (p + q)).x
+        result = minimize(objective, x,
+                          bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
+                          xatol=1e-4, fatol=1e-9 * objective(x),
+                          maxfev=_EVALS_PER_DIM * (p + q))
+        x, converged = result.x, result.success
     ar, ma = x[:p], x[p:]
     resid = residuals(ar, ma)
     css = float(resid @ resid)
@@ -244,7 +250,8 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
                       css=css,
                       aicc=aicc,
                       train_tail=tail,
-                      train_span=(series.start, series.end))
+                      train_span=(series.start, series.end),
+                      converged=converged)
 
 
 def _stationary_enough(w: np.ndarray) -> bool:
@@ -286,11 +293,14 @@ def select_order(series: MonthlyTimeSeries) -> ArimaModel:
     candidate with a lower key; it stops when no neighbour is lower.  The
     key is (AICc, p+q, p, q, drift), AICc compared over the common n - d
     differenced sample, so ties break toward smaller p+q, then smaller p.
-    A fit whose AICc is not finite (the sums of squares overflow), or that
-    is not stationary or not invertible (an AR or MA root with
-    |root| <= 1), scores AICc +inf: its CSS residuals are not the
-    innovations.  Each (p, q, drift) is fitted at most once.  The winner
-    is returned as fitted, equal to ``fit_arima(series, winner.order)``.
+    A fit whose simplex stopped at its evaluation cap, whose AICc is not
+    finite (the sums of squares overflow), or that is not stationary or not
+    invertible (an AR or MA root with |root| <= 1), scores AICc +inf: its
+    coefficients are not a minimum, or its CSS residuals are not the
+    innovations.  (0,d,0) fits no coefficient and is always converged, so
+    only overflow leaves no usable fit.  Each (p, q, drift) is fitted at
+    most once.  The winner is returned as fitted, equal to
+    ``fit_arima(series, winner.order)``.
     """
     if len(series) < 24:
         raise SeriesTooShortError(
@@ -303,7 +313,7 @@ def select_order(series: MonthlyTimeSeries) -> ArimaModel:
             # n - d >= 22 >= 10 + p + q, so every order in range can be fitted
             model = fit_arima(series, ArimaOrder(p, d, q, drift))
             # AR polynomial 1 - sum phi_k z^k, MA 1 + sum theta_k z^k
-            usable = (math.isfinite(model.aicc)
+            usable = (model.converged and math.isfinite(model.aicc)
                       and _roots_outside_unit_circle(
                           [-c for c in model.ar_coeffs])
                       and _roots_outside_unit_circle(model.ma_coeffs))

@@ -149,24 +149,21 @@ def run_fixed_origin(series: MonthlyTimeSeries, engine: Engine,
     return _report(_METHOD_ID[engine, "fixed"], months, actuals, forecasts)
 
 
-def _one_step_refit(series: MonthlyTimeSeries, engine: Engine,
-                    month: MonthStamp) -> float:
-    train = slice_window(series, series.start, month.offset(-1))
-    return _fit_forecast(train, engine, 1)[0]
-
-
 def run_rolling(series: MonthlyTimeSeries, engine: Engine,
                 eval_start: MonthStamp, eval_end: MonthStamp,
                 workers: int = 1) -> MethodReport:
     """Refit before every month and forecast one step (method II/V).
 
     For each month m in the window, the model trains on everything up to
-    m-1; the ARIMA engine re-runs order selection every month.  The
-    monthly refits are independent, so `workers` > 1 runs them in a
-    process pool; results are assembled in calendar order either way.  A
+    m-1; the ARIMA engine re-runs order selection every month.  The refits
+    run one after another in the calling process.  `workers` is kept only
+    for callers that still pass 1; any other value raises ValueError.  A
     one-month window cannot be summarized and raises InsufficientDataError
     before any fit.
     """
+    if workers != 1:
+        raise ValueError(f"run_rolling runs in one process; workers must be "
+                         f"1, got {workers!r}")
     if eval_start > eval_end:
         raise OutOfRangeError(f"empty evaluation window {eval_start}..{eval_end}")
     series.index_of(eval_start)
@@ -174,13 +171,10 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
     months = [eval_start.offset(k)
               for k in range(eval_start.months_until(eval_end) + 1)]
     _require_two_errors(len(months))
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            forecasts = list(pool.map(_one_step_refit, [series] * len(months),
-                                      [engine] * len(months), months))
-    else:
-        forecasts = [_one_step_refit(series, engine, month) for month in months]
+    forecasts = [
+        _fit_forecast(slice_window(series, series.start, month.offset(-1)),
+                      engine, 1)[0]
+        for month in months]
     actuals = [series.values[series.index_of(month)] for month in months]
     return _report(_METHOD_ID[engine, "rolling"], months, actuals, forecasts)
 

@@ -64,21 +64,17 @@ def window_selections(cd_series, sc_series):
 
 def run_methods(cd_series, sc_series):
     """Every method run on both fixtures, keyed by (sector, method)."""
-    import os
-
     from indexcast import run_fixed_origin, run_rolling, run_trend_seasonal
 
-    workers = min(8, os.cpu_count() or 1)
     eval_start, eval_end = MonthStamp(2015, 1), MonthStamp(2015, 12)
     out = {}
     for sector, series in (("CD", cd_series), ("SC", sc_series)):
         out[sector, "I"] = run_fixed_origin(series, "holt_winters", TRAIN_END, 12)
         out[sector, "II"] = run_rolling(series, "holt_winters", eval_start,
-                                        eval_end, workers=workers)
+                                        eval_end)
         out[sector, "III"] = run_trend_seasonal(series, TRAIN_END)
         out[sector, "IV"] = run_fixed_origin(series, "arima", TRAIN_END, 12)
-        out[sector, "V"] = run_rolling(series, "arima", eval_start, eval_end,
-                                       workers=workers)
+        out[sector, "V"] = run_rolling(series, "arima", eval_start, eval_end)
     return out
 
 

@@ -139,6 +139,15 @@ class TestFit:
             + 2 * k * (k + 1) / (n_used - k - 1)
         assert model.aicc == pytest.approx(expected, rel=1e-12)
 
+    def test_records_whether_the_simplex_converged(self, sc_series,
+                                                   monkeypatch):
+        train = slice_window(sc_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
+        assert fit_arima(train, ArimaOrder(2, 1, 2)).converged
+        # no coefficient to estimate: no optimizer run, converged
+        assert fit_arima(train, ArimaOrder(0, 1, 0, drift=True)).converged
+        monkeypatch.setattr(arima, "_EVALS_PER_DIM", 2)
+        assert not fit_arima(train, ArimaOrder(2, 1, 2)).converged
+
     def test_determinism(self, sc_series):
         train = slice_window(sc_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
         a = fit_arima(train, ArimaOrder(2, 1, 2))
@@ -208,7 +217,7 @@ def _roots_outside_unit_circle(coeffs):
 def _search_key(model):
     """select_order's ranking key, an unusable fit scoring AICc +inf."""
     o = model.order
-    usable = (math.isfinite(model.aicc)
+    usable = (model.converged and math.isfinite(model.aicc)
               and _roots_outside_unit_circle([-c for c in model.ar_coeffs])
               and _roots_outside_unit_circle(model.ma_coeffs))
     return (model.aicc if usable else math.inf, o.p + o.q, o.p, o.q, o.drift)
@@ -267,11 +276,45 @@ class TestSelectOrder:
             select_order(series)
 
     def test_selection_does_not_depend_on_units(self, window_selections):
+        # a*y + b selects the same order, and its forecasts are a*f + b up
+        # to rounding, for scales that are not powers of two and for shifts
+        assert window_selections["CD"][1].order == ArimaOrder(0, 1, 1, drift=True)
+        for sector, (train, model) in window_selections.items():
+            y = np.asarray(train.values)
+            forecasts = np.asarray(forecast_arima(model, 12))
+            tolerance = 1e-9 * np.max(np.abs(y))
+            for a, b in ((1e-3, 0.0), (1e3, 0.0), (3.0, 0.0), (0.37, 0.0),
+                         (1.7, 250.0), (10.1, -500.0)):
+                chosen = select_order(make_series("2010-01", a * y + b))
+                assert chosen.order == model.order, (sector, a, b)
+                mapped = np.asarray(forecast_arima(chosen, 12))
+                gap = np.max(np.abs((mapped - b) / a - forecasts))
+                assert gap <= tolerance, (sector, a, b, gap)
+
+    def test_unconverged_fit_cannot_win(self, window_selections, monkeypatch):
+        # CD's winner, refitted with a simplex that reports no convergence,
+        # scores +inf, and the search settles on another order
         train, model = window_selections["CD"]
-        assert model.order == ArimaOrder(0, 1, 1, drift=True)
-        for scale in (1e-3, 1e3):
-            rescaled = make_series("2010-01", np.asarray(train.values) * scale)
-            assert select_order(rescaled).order == model.order
+        winner = model.order
+        fitting = []
+        fit, run = arima.fit_arima, arima.minimize
+
+        def recording_fit(series, order):
+            fitting.append(order)
+            return fit(series, order)
+
+        def reporting_minimize(*args, **kwargs):
+            result = run(*args, **kwargs)
+            if fitting[-1] == winner:
+                result.success = False
+            return result
+
+        monkeypatch.setattr(arima, "fit_arima", recording_fit)
+        monkeypatch.setattr(arima, "minimize", reporting_minimize)
+        chosen = select_order(train)
+        assert winner in fitting
+        assert chosen.order != winner
+        assert chosen.converged
 
     def test_power_of_two_scaling_keeps_the_selection(self, window_selections):
         # every candidate fit is scale-free (TestFit), so a rescaled window

@@ -127,11 +127,17 @@ class TestRolling:
         short = run_rolling(series, "arima", MonthStamp(2012, 5), MonthStamp(2012, 6))
         assert long.rows[:2] == short.rows
 
-    def test_worker_pool_matches_sequential(self, cd_series):
-        window = (MonthStamp(2015, 1), MonthStamp(2015, 4))
-        sequential = run_rolling(cd_series, "holt_winters", *window)
-        pooled = run_rolling(cd_series, "holt_winters", *window, workers=2)
-        assert pooled == sequential
+    def test_workers_other_than_one_raise_before_any_fit(self, cd_series,
+                                                         monkeypatch):
+        # every refit runs in the calling process; a caller asking for a
+        # pool is told so instead of being run serially
+        from indexcast import evaluate
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
+        with pytest.raises(ValueError, match="workers"):
+            run_rolling(cd_series, "holt_winters", MonthStamp(2015, 1),
+                        MonthStamp(2015, 4), workers=2)
+        assert fits == []
 
 
 class TestTrendSeasonal:
