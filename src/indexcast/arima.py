@@ -146,26 +146,32 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
     """CSS residuals e_t, t = p..len(w)-1, as a function of (ar, ma).
 
     ``w`` is the mean-removed differenced series; pre-sample e are treated
-    as 0.  Its AR lag views and the MA denominator array are built here
-    once, so each call only runs the recursion.
+    as 0.  Its AR lag views and the MA filter arrays are built here once,
+    so each call only runs the recursion.  With p = q = 0 the result is a
+    view of ``w``, which callers only read; ``w`` is never written.
     """
-    # imported here, not at the top: only ARIMA fits need scipy, and
-    # scipy.signal imports scipy.optimize and scipy.stats, which would slow
-    # the start of every CLI call
-    from scipy.signal import lfilter
+    # The MA recursion is lfilter([1.0], [1, ma], x), called as the C
+    # routine lfilter ends in: for 1-D float64 x, len(a) > 1 and no zi,
+    # lfilter only checks its arguments before this same call, and those
+    # checks cost about as much as the filter itself.  TestCssObjective
+    # pins the two bit for bit (scipy 1.17.1).  Imported here, not at the
+    # top: only ARIMA fits need scipy, and scipy.signal imports
+    # scipy.optimize and scipy.stats, so `import indexcast.cli` loads none.
+    from scipy.signal._sigtools import _linear_filter
 
     n = len(w)
     head = w[p:]
     lags = [w[p - i:n - i] for i in range(1, p + 1)]
+    numerator = np.ones(1)
     denominator = np.ones(q + 1)
 
     def residuals(ar, ma) -> np.ndarray:
-        x = head.copy()
+        x = head
         for a, lag in zip(ar, lags):
-            x -= a * lag
+            x = x - a * lag
         if q:
             denominator[1:] = ma
-            return lfilter([1.0], denominator, x)
+            return _linear_filter(numerator, denominator, x, -1)
         return x
 
     return residuals
@@ -173,10 +179,17 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
 
 def css_objective(diffed: Sequence[float], order: ArimaOrder,
                   ar: Sequence[float], ma: Sequence[float], mu: float) -> float:
-    """Conditional sum of squared residuals of an ARMA(p,q) on `diffed` - mu."""
+    """Conditional sum of squared residuals of an ARMA(p,q) on `diffed` - mu.
+
+    Raises ``SeriesTooShortError`` when `diffed` has no more than p values,
+    which leaves no residual to sum.
+    """
     if len(ar) != order.p or len(ma) != order.q:
         raise ValueError(f"coefficient lengths {len(ar)},{len(ma)} do not "
                          f"match order ({order.p},{order.d},{order.q})")
+    if len(diffed) <= order.p:
+        raise SeriesTooShortError(
+            f"{len(diffed)} values leave no CSS residual for p = {order.p}")
     e = _css_residuals(np.asarray(diffed, dtype=float) - mu, order.p,
                        order.q)(np.asarray(ar, dtype=float),
                                 np.asarray(ma, dtype=float))

@@ -82,6 +82,61 @@ class TestCssObjective:
         with pytest.raises(ValueError):
             css_objective([1.0, 2.0], ArimaOrder(1, 0, 0), [], [], 0.0)
 
+    @pytest.mark.parametrize("diffed, order, ar, ma", [
+        ([1.0], ArimaOrder(1, 0, 0), [0.5], []),
+        ([1.0, 2.0], ArimaOrder(2, 0, 1), [0.5, -0.2], [0.3]),
+        ([], ArimaOrder(0, 0, 1), [], [0.3]),
+    ], ids=["p1-one-value", "p2-two-values", "empty"])
+    def test_no_residual_is_too_short(self, diffed, order, ar, ma):
+        # p pre-sample lags or more leave nothing to sum, which is not a
+        # perfect fit
+        with pytest.raises(SeriesTooShortError):
+            css_objective(diffed, order, ar, ma, 0.0)
+
+    def test_residuals_match_lfilter_bit_for_bit(self, cd_series):
+        # _css_residuals calls the C routine that lfilter ends in; the public
+        # lfilter is the reference, on every order, on coefficients at the
+        # box edges and signed zeros, and on sums that overflow
+        from scipy.signal import _sigtools, lfilter
+        assert hasattr(_sigtools, "_linear_filter"), \
+            "scipy.signal._sigtools._linear_filter, which _css_residuals " \
+            "calls, is gone"
+        train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
+        cd = np.diff(train.values)
+        rng = np.random.default_rng(15)
+        seeded = rng.normal(0.0, 5.0, 48)
+        huge = 1.7e308 * np.where(rng.random(48) < 0.5, -1.0, 1.0)
+        specials = np.array([COEF_BOUND, -COEF_BOUND, 0.0, -0.0])
+        for name, series in (("CD", cd - cd.mean()), ("seeded", seeded),
+                             ("overflow", huge)):
+            w = series.copy()
+            for p in range(MAX_P + 1):
+                for q in range(MAX_Q + 1):
+                    residuals = arima._css_residuals(w, p, q)
+                    draws = [[float(specials[i % 4]) for i in range(p + q)]]
+                    for _ in range(4):
+                        coefs = rng.uniform(-COEF_BOUND, COEF_BOUND, p + q)
+                        edge = rng.random(p + q) < 0.4
+                        coefs[edge] = rng.choice(specials, int(edge.sum()))
+                        draws.append(coefs.tolist())
+                    for coefs in draws:
+                        ar, ma = coefs[:p], coefs[p:]
+                        with np.errstate(all="ignore"):
+                            got = residuals(ar, ma)
+                            x = w[p:]
+                            for i, a in enumerate(ar, 1):
+                                x = x - a * w[p - i:len(w) - i]
+                            want = lfilter([1.0], [1.0, *ma], x)
+                        assert got.dtype == want.dtype, (name, p, q)
+                        assert got.tobytes() == want.tobytes(), \
+                            ("_linear_filter differs from lfilter", name, ar, ma)
+            # the closure filters views of w and must never write to it
+            assert w.tobytes() == series.tobytes(), name
+        with np.errstate(all="ignore"):
+            e = arima._css_residuals(huge, 2, 2)([COEF_BOUND, COEF_BOUND],
+                                                 [-COEF_BOUND, COEF_BOUND])
+        assert np.isinf(e).any() and np.isnan(e).any()
+
 
 class TestFit:
     def test_deterministic_ramp_with_drift(self):
@@ -225,17 +280,23 @@ def _search_key(model):
 
 class TestSelectOrder:
     def test_stepwise_search(self, window_selections, monkeypatch):
-        fitted = []
-        fit = arima.fit_arima
+        fitted, runs = [], []
+        fit, run = arima.fit_arima, arima.minimize
 
         def recording_fit(series, order):
             fitted.append(fit(series, order))
             return fitted[-1]
 
+        def recording_minimize(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
         monkeypatch.setattr(arima, "fit_arima", recording_fit)
-        fits_per_sector = {}
+        monkeypatch.setattr(arima, "minimize", recording_minimize)
+        work_per_sector = {}
         for sector, (train, selected) in window_selections.items():
             fitted.clear()
+            runs.clear()
             assert select_order(train) == selected
             keys = {(m.order.p, m.order.q, m.order.drift): _search_key(m)
                     for m in fitted}
@@ -251,8 +312,11 @@ class TestSelectOrder:
                           and 0 <= p + dp <= MAX_P and 0 <= q + dq <= MAX_Q]
             for neighbour in neighbours + [(p, q, not drift)]:
                 assert keys[p, q, drift] < keys[neighbour], (sector, neighbour)
-            fits_per_sector[sector] = len(fitted)
-        assert fits_per_sector == {"CD": 9, "SC": 13}
+            work_per_sector[sector] = (len(fitted), len(runs),
+                                       sum(r.nfev for r in runs))
+        # fits, simplex runs (the (0,d,0) fits run none) and the CSS
+        # evaluations those runs report: exact counts of the search's work
+        assert work_per_sector == {"CD": (9, 7, 1128), "SC": (13, 11, 1595)}
 
     def test_ramp_selects_difference_and_fits_exactly(self):
         s = make_series("2010-01", [100.0 + 5.0 * t for t in range(30)])
