@@ -27,9 +27,8 @@ from .fileio import read_daily_csv, read_values_file, write_values_file
 from .holtwinters import (HoltWintersModel, HoltWintersParams,
                           fit_holt_winters, forecast_hw, initialize_state,
                           one_step_sse)
-from .series import (MONTH_ABBR, DailyObservation, MonthStamp,
-                     MonthlyTimeSeries, aggregate_daily_to_monthly,
-                     make_series, slice_window)
+from .series import (MONTH_ABBR, MonthStamp, MonthlyTimeSeries,
+                     aggregate_daily_to_monthly, make_series, slice_window)
 
 __version__ = "0.1.0"
 

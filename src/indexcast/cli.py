@@ -20,7 +20,7 @@ from .evaluate import (METHODS, run_fixed_origin, run_rolling,
 from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
-from .series import MonthStamp, MonthlyTimeSeries, aggregate_daily_to_monthly
+from .series import MonthStamp, MonthlyTimeSeries
 from .svgchart import Line, Panel, render_chart
 
 
@@ -43,7 +43,7 @@ def _load_series(parser, path, fmt, start_text, flag="--input") -> MonthlyTimeSe
         if not start_text:
             parser.error(f"{flag}: values format requires --start YYYY-MM")
         return read_values_file(path, _month(parser, start_text, "--start"))
-    return aggregate_daily_to_monthly(read_daily_csv(path))
+    return read_daily_csv(path)
 
 
 def _write_output(args, text):

@@ -3,8 +3,8 @@
 Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month is supplied out of band and must
 match a ``# start YYYY-MM`` line if the file has one.  Daily CSV: header
-``date,value`` with ISO-8601 dates.  Both readers skip a leading UTF-8 byte
-order mark, as spreadsheet programs write one.
+``date,value`` with ISO-8601 dates, averaged per calendar month.  Both
+readers skip a leading UTF-8 byte order mark (spreadsheets write one).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import datetime
 import math
 from pathlib import Path
 from .errors import DataError, EmptyInputError, ParseError
-from .series import DailyObservation, MonthlyTimeSeries, MonthStamp
+from .series import MonthlyTimeSeries, MonthStamp, aggregate_daily_to_monthly
 
 
 def _header_month(comment: str) -> MonthStamp | None:
@@ -69,9 +69,13 @@ def write_values_file(path: str | Path, series: MonthlyTimeSeries,
     Path(path).write_text(values_text(series, full_precision), encoding="utf-8")
 
 
-def read_daily_csv(path: str | Path) -> tuple[DailyObservation, ...]:
-    """Read a ``date,value`` CSV with ISO dates into daily observations."""
-    out = []
+def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
+    """Read a ``date,value`` CSV with ISO dates into monthly means.
+
+    Every row is parsed, so a bad one raises ``ParseError`` with its line
+    number, before ``aggregate_daily_to_monthly`` averages the rows.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -89,5 +93,5 @@ def read_daily_csv(path: str | Path) -> tuple[DailyObservation, ...]:
             except ValueError:
                 raise ParseError(path, line_number,
                                  f"bad ISO date: {row[0]!r}") from None
-            out.append(DailyObservation(date, _number(row[1], path, line_number)))
-    return tuple(out)
+            rows.append((date, _number(row[1], path, line_number)))
+    return aggregate_daily_to_monthly(rows)

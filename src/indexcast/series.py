@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyInputError, GapInSeriesError, OutOfRangeError
+from .errors import (ComputationError, EmptyInputError, GapInSeriesError,
+                     OutOfRangeError)
 
 MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -54,18 +55,6 @@ class MonthStamp:
 
     def __str__(self):
         return f"{self.year:04d}-{self.month:02d}"
-
-
-@dataclass(frozen=True)
-class DailyObservation:
-    """One dated observation; dates need not be contiguous."""
-
-    date: datetime.date
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -111,22 +100,24 @@ class MonthlyTimeSeries:
         return tuple(self.start.offset(i) for i in range(len(self.values)))
 
 
-def aggregate_daily_to_monthly(daily: Iterable[DailyObservation]) -> MonthlyTimeSeries:
-    """Average daily observations into a gapless monthly series.
+def aggregate_daily_to_monthly(
+        daily: Iterable[tuple[datetime.date, float]]) -> MonthlyTimeSeries:
+    """Average ``(date, value)`` pairs into a gapless monthly series.
 
     Each monthly value is the unweighted arithmetic mean of that month's
-    observations.  The output spans every calendar month between the first
-    and the last observation.
+    values, summed in the order given.  The output spans every calendar
+    month between the first and the last date; dates need not be contiguous.
 
     Raises:
         EmptyInputError: no observations supplied.
         GapInSeriesError: a month inside the span has no observations.
+        ComputationError: a month's mean is not finite (its sum overflows).
     """
     sums: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
-    for obs in daily:
-        key = (obs.date.year, obs.date.month)
-        sums[key] = sums.get(key, 0.0) + obs.value
+    for date, value in daily:
+        key = (date.year, date.month)
+        sums[key] = sums.get(key, 0.0) + value
         counts[key] = counts.get(key, 0) + 1
     if not sums:
         raise EmptyInputError("no daily observations")
@@ -138,7 +129,10 @@ def aggregate_daily_to_monthly(daily: Iterable[DailyObservation]) -> MonthlyTime
         key = (stamp.year, stamp.month)
         if key not in sums:
             raise GapInSeriesError(f"no observations in {stamp}")
-        values.append(sums[key] / counts[key])
+        mean = sums[key] / counts[key]
+        if not math.isfinite(mean):
+            raise ComputationError(f"mean of {stamp} is not finite: {mean}")
+        values.append(mean)
     return MonthlyTimeSeries(first, tuple(values))
 
 

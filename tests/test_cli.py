@@ -56,6 +56,20 @@ class TestIngest:
                                  "--start", "2010-01")
         assert code2 == 4  # two months cannot be decomposed
 
+    @pytest.mark.parametrize("rows, code, message", [
+        ("2010-01-04,1\n2010-03-01,2\n", 3, "data error: no observations in 2010-02"),
+        # finite values whose mean is finite but whose sum overflows
+        ("2010-01-04,1e308\n2010-01-05,1e308\n", 4,
+         "computation error: mean of 2010-01 is not finite"),
+    ], ids=["gap", "overflow"])
+    def test_daily_csv_month_errors(self, tmp_path, capsys, rows, code, message):
+        daily = tmp_path / "daily.csv"
+        daily.write_text("date,value\n" + rows)
+        got, out, err = run_cli(capsys, "ingest", "--input", str(daily),
+                                "--format", "daily_csv")
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
+
     def test_values_passthrough(self, capsys):
         code, out, err = run_cli(capsys, "ingest", "--input", CD,
                                  "--start", "2010-01")

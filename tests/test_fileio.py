@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indexcast import (DataError, EmptyInputError, MonthStamp, ParseError,
-                       make_series, read_daily_csv, read_values_file,
-                       write_values_file)
+from indexcast import (DataError, EmptyInputError, GapInSeriesError,
+                       MonthStamp, ParseError, make_series, read_daily_csv,
+                       read_values_file, write_values_file)
 
 
 class TestValuesFormat:
@@ -83,10 +83,31 @@ class TestDailyCsv:
     def test_parse(self, tmp_path):
         path = tmp_path / "daily.csv"
         path.write_text("date,value\n2010-01-04,3875.25\n2010-01-05,3904.75\n")
-        obs = read_daily_csv(path)
-        assert len(obs) == 2
-        assert obs[0].date.isoformat() == "2010-01-04"
-        assert obs[1].value == 3904.75
+        series = read_daily_csv(path)
+        assert series.start == MonthStamp(2010, 1)
+        assert series.values == ((3875.25 + 3904.75) / 2,)
+
+    def test_month_sums_in_file_order(self, tmp_path):
+        # left to right, 1e16 + 1.0 rounds back to 1e16: the sum is 1.0, not 2.0
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n2010-01-04,1e16\n2010-01-05,1.0\n"
+                        "2010-01-06,-1e16\n2010-01-07,1.0\n")
+        assert read_daily_csv(path).values == (0.25,)
+
+    @pytest.mark.parametrize("rows, error, message, line_number", [
+        ("", EmptyInputError, "^no daily observations$", None),
+        ("2010-01-04,1\n2010-03-01,2\n", GapInSeriesError,
+         "^no observations in 2010-02$", None),
+        # every row is parsed before any month is checked for a gap
+        ("2010-01-04,1\n2010-03-01,2\n2010-03-02,x\n", ParseError,
+         "not a number: 'x'", 4),
+    ], ids=["header_only", "gap", "bad_row_after_gap"])
+    def test_error_order(self, tmp_path, rows, error, message, line_number):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n" + rows)
+        with pytest.raises(error, match=message) as exc:
+            read_daily_csv(path)
+        assert getattr(exc.value, "line_number", None) == line_number
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "daily.csv"

@@ -2,13 +2,13 @@ import datetime
 
 import pytest
 
-from indexcast import (DailyObservation, EmptyInputError, GapInSeriesError,
+from indexcast import (ComputationError, EmptyInputError, GapInSeriesError,
                        MonthStamp, MonthlyTimeSeries, OutOfRangeError,
                        aggregate_daily_to_monthly, make_series, slice_window)
 
 
 def day(y, m, d, v):
-    return DailyObservation(datetime.date(y, m, d), v)
+    return (datetime.date(y, m, d), v)
 
 
 class TestMonthStamp:
@@ -74,7 +74,7 @@ class TestAggregateDaily:
         d = datetime.date(2010, 1, 1)
         while d.year == 2010:
             if d.weekday() < 5:
-                daily.append(DailyObservation(d, 7.5))
+                daily.append((d, 7.5))
             d += datetime.timedelta(days=1)
         s = aggregate_daily_to_monthly(daily)
         assert len(s) == 12
@@ -91,9 +91,14 @@ class TestAggregateDaily:
         forward = aggregate_daily_to_monthly(daily)
         backward = aggregate_daily_to_monthly(list(reversed(daily)))
         assert forward == backward
-        scaled = aggregate_daily_to_monthly(
-            [DailyObservation(o.date, 3 * o.value) for o in daily])
+        scaled = aggregate_daily_to_monthly([(d, 3 * v) for d, v in daily])
         assert scaled.values[0] == pytest.approx(3 * forward.values[0], rel=1e-15)
+
+    def test_overflowing_month_names_the_month(self):
+        # each value is finite and so is the true mean, but the sum is not
+        daily = [day(2010, 1, 29, 1.0), day(2010, 2, 4, 1e308), day(2010, 2, 5, 1e308)]
+        with pytest.raises(ComputationError, match="mean of 2010-02 is not finite"):
+            aggregate_daily_to_monthly(daily)
 
     def test_span_length(self):
         daily = [day(2010, 1, 20, 1), day(2010, 2, 3, 2), day(2010, 3, 28, 3)]
