@@ -20,8 +20,8 @@ from .errors import (ComputationError, DataError, EmptyInputError,
                      ParseError, SelectionFailedError, SeriesTooShortError)
 from .evaluate import (ErrorSummary, ForecastRow, HypothesisReport,
                        MethodReport, StabilityRow, absolute_percentage_error,
-                       compare_hypotheses, run_fixed_origin, run_rolling,
-                       run_trend_seasonal, structural_stability,
+                       compare_hypotheses, run_fixed_origin, run_method,
+                       run_rolling, run_trend_seasonal, structural_stability,
                        summarize_errors)
 from .fileio import read_daily_csv, read_values_file, write_values_file
 from .holtwinters import (HoltWintersModel, HoltWintersParams,

@@ -215,29 +215,32 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
             f"order ({p},{order.d},{q}), got {n}")
     diffed = np.asarray(series.values, dtype=float)
     level_tails = []
-    for _ in range(order.d):
-        level_tails.append(float(diffed[-1]))
-        diffed = np.diff(diffed)
     has_mean = order.d == 0 or order.drift
-    mu = float(diffed.mean()) if has_mean else 0.0
-    w = diffed - mu
-    residuals = _css_residuals(w, p, q)
-
-    def objective(x):
-        e = residuals(x[:p], x[p:])
-        return float(e @ e)
-
     x = [0.0] * (p + q)
     converged = True
-    if p + q:
-        result = minimize(objective, x,
-                          bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
-                          xatol=1e-4, fatol=1e-9 * objective(x),
-                          maxfev=_EVALS_PER_DIM * (p + q))
-        x, converged = result.x, result.success
-    ar, ma = x[:p], x[p:]
-    resid = residuals(ar, ma)
-    css = float(resid @ resid)
+    # arrays warn where floats overflow quietly; an overflowing difference or
+    # sum of squares gives a non-finite AICc, which select_order rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order.d):
+            level_tails.append(float(diffed[-1]))
+            diffed = np.diff(diffed)
+        mu = float(diffed.mean()) if has_mean else 0.0
+        w = diffed - mu
+        residuals = _css_residuals(w, p, q)
+
+        def objective(x):
+            e = residuals(x[:p], x[p:])
+            return float(e @ e)
+
+        if p + q:
+            result = minimize(objective, x,
+                              bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
+                              xatol=1e-4, fatol=1e-9 * objective(x),
+                              maxfev=_EVALS_PER_DIM * (p + q))
+            x, converged = result.x, result.success
+        ar, ma = x[:p], x[p:]
+        resid = residuals(ar, ma)
+        css = float(resid @ resid)
     # sigma2 averages the n - d - p residuals CSS has; the likelihood and
     # the small-sample correction use the common n - d sample, so that
     # candidates of every p are scored on the same observations
@@ -281,10 +284,13 @@ def _stationary_enough(w: np.ndarray) -> bool:
 def choose_difference_order(series: MonthlyTimeSeries) -> int:
     """Smallest d in 0..1 whose differenced series looks stationary, else 2."""
     w = np.asarray(series.values, dtype=float)
-    for d in range(MAX_D):
-        if _stationary_enough(w):
-            return d
-        w = np.diff(w)
+    # arrays warn where floats overflow quietly; the fits then score the
+    # overflowing series' sums of squares as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(MAX_D):
+            if _stationary_enough(w):
+                return d
+            w = np.diff(w)
     return MAX_D
 
 

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .decompose import decompose_additive
 from .errors import ComputationError, DataError
-from .evaluate import (METHODS, run_fixed_origin, run_rolling,
-                       run_trend_seasonal, structural_stability,
-                       compare_hypotheses)
+from .evaluate import (METHODS, compare_hypotheses, run_method,
+                       structural_stability)
 from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
@@ -90,14 +89,7 @@ def cmd_forecast(args, parser):
         train_end = _month(parser, args.train_end, "--train-end")
     else:
         train_end = series.end.offset(-args.horizon)
-    engine, protocol = METHODS.get(args.method, (None, None))
-    if protocol == "fixed":
-        report = run_fixed_origin(series, engine, train_end, args.horizon)
-    elif protocol == "rolling":
-        report = run_rolling(series, engine, train_end.offset(1),
-                             train_end.offset(args.horizon))
-    else:
-        report = run_trend_seasonal(series, train_end)
+    report = run_method(series, args.method, train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
                                              args.precision))
     return 0
@@ -172,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("forecast", help="run one of the evaluation methods I..V")
     _add_common(p, table=True)
-    p.add_argument("--method", choices=["I", "II", "III", "IV", "V"], required=True)
+    p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument("--train-end", help="last training month YYYY-MM "
                                        "(default: horizon months before the end)")
     p.add_argument("--horizon", type=int, default=12,

@@ -10,11 +10,13 @@ exactly wherever the trend is defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCoverageError, SeriesTooShortError
+from .errors import (ComputationError, InsufficientCoverageError,
+                     SeriesTooShortError)
 from .series import MonthlyTimeSeries, MonthStamp
 
 _CMA_WEIGHTS = np.concatenate(([0.5], np.ones(11), [0.5])) / 12.0
@@ -65,6 +67,8 @@ def seasonal_indices(series: MonthlyTimeSeries,
 
     Raises:
         InsufficientCoverageError: a calendar month has no detrended value.
+        ComputationError: an index is not finite (the detrended sums
+            overflow).
     """
     months = series.month_indices()
     buckets: list[list[float]] = [[] for _ in range(12)]
@@ -75,8 +79,13 @@ def seasonal_indices(series: MonthlyTimeSeries,
         if not bucket:
             raise InsufficientCoverageError(
                 f"no detrended observation for month {m + 1}")
-    raw = np.array([np.mean(b) for b in buckets])
-    centered = raw - raw.mean()
+    # arrays warn where floats overflow quietly; the isfinite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.array([np.mean(b) for b in buckets])
+        centered = raw - raw.mean()
+    if not np.isfinite(centered).all():
+        raise ComputationError("seasonal indices are not finite; "
+                               "the detrended sums overflow")
     return tuple(float(v) for v in centered)
 
 
@@ -84,7 +93,8 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
     """Split a series into trend, seasonal, and random components.
 
     Requires at least two full years so every calendar month has a
-    detrended observation.
+    detrended observation.  Raises ComputationError when a seasonal index
+    or a random value is not finite.
     """
     if len(series) < 24:
         raise SeriesTooShortError(
@@ -96,6 +106,10 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
     random = tuple(
         None if t is None else series.values[i] - t - seasonal[i]
         for i, t in enumerate(trend))
+    for i, r in enumerate(random):
+        if r is not None and not math.isfinite(r):
+            raise ComputationError(f"random component at {series.month_at(i)} "
+                                   "is not finite; the series overflows")
     return DecompositionResult(series, trend, seasonal, indices, random)
 
 

@@ -5,7 +5,8 @@ IV, Holt-Winters and ARIMA), rolling one-month-ahead forecasts with a
 refit before every month (II and V), a trend-plus-seasonal aggregate
 forecast built on the decomposed trend (III), and a two-window structural
 stability comparison (VI).  Errors are absolute percentage errors; summary
-standard deviations use the n-1 denominator.
+standard deviations use the n-1 denominator.  ``run_method`` runs any of
+the methods I-V by its id in ``METHODS``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ Engine = Literal["holt_winters", "arima"]
 
 # the paper's method ids with the engine and protocol each one runs
 METHODS = {"I": ("holt_winters", "fixed"), "II": ("holt_winters", "rolling"),
+           "III": ("holt_winters", "trend_seasonal"),
            "IV": ("arima", "fixed"), "V": ("arima", "rolling")}
 _METHOD_ID = {pair: method_id for method_id, pair in METHODS.items()}
 
@@ -203,6 +205,28 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
                + full_dec.seasonal_index_for(m) for m in eval_months]
     forecasts = [f + train_dec.seasonal_index_for(m) for m, f in zip(eval_months, trend_fc)]
     return _report("III", eval_months, actuals, forecasts)
+
+
+def run_method(series: MonthlyTimeSeries, method_id: str,
+               train_end: MonthStamp, horizon: int = 12) -> MethodReport:
+    """Run method I-V of ``METHODS`` with training data through train_end.
+
+    I and IV fit once and forecast the `horizon` months after train_end; II
+    and V refit before each of them.  III always covers 12 months.  An
+    unknown id, or III with another horizon, raises ValueError before any fit.
+    """
+    if method_id not in METHODS:
+        raise ValueError(f"unknown method {method_id!r}")
+    engine, protocol = METHODS[method_id]
+    # looked up at call time, so a wrapper set on this module sees each call
+    if protocol == "fixed":
+        return run_fixed_origin(series, engine, train_end, horizon)
+    if protocol == "rolling":
+        return run_rolling(series, engine, train_end.offset(1),
+                           train_end.offset(horizon))
+    if horizon != 12:
+        raise ValueError(f"method III covers 12 months, got horizon {horizon}")
+    return run_trend_seasonal(series, train_end)
 
 
 def structural_stability(series_full: MonthlyTimeSeries,

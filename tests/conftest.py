@@ -9,6 +9,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from indexcast import MonthStamp, read_values_file, select_order, slice_window
+from indexcast.evaluate import METHODS, run_method
 
 DATA_DIR = pathlib.Path(__file__).parent.parent / "data"
 START = MonthStamp(2010, 1)
@@ -64,18 +65,9 @@ def window_selections(cd_series, sc_series):
 
 def run_methods(cd_series, sc_series):
     """Every method run on both fixtures, keyed by (sector, method)."""
-    from indexcast import run_fixed_origin, run_rolling, run_trend_seasonal
-
-    eval_start, eval_end = MonthStamp(2015, 1), MonthStamp(2015, 12)
-    out = {}
-    for sector, series in (("CD", cd_series), ("SC", sc_series)):
-        out[sector, "I"] = run_fixed_origin(series, "holt_winters", TRAIN_END, 12)
-        out[sector, "II"] = run_rolling(series, "holt_winters", eval_start,
-                                        eval_end)
-        out[sector, "III"] = run_trend_seasonal(series, TRAIN_END)
-        out[sector, "IV"] = run_fixed_origin(series, "arima", TRAIN_END, 12)
-        out[sector, "V"] = run_rolling(series, "arima", eval_start, eval_end)
-    return out
+    return {(sector, method): run_method(series, method, TRAIN_END)
+            for sector, series in (("CD", cd_series), ("SC", sc_series))
+            for method in METHODS}
 
 
 @pytest.fixture(scope="session")

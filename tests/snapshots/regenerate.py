@@ -15,12 +15,12 @@ from pathlib import Path
 
 from indexcast import (compare_hypotheses, decompose_additive,
                        read_values_file, structural_stability)
+from indexcast.evaluate import METHODS
 from indexcast.render import (render_decomposition, render_hypotheses,
                               render_method_report, render_stability)
 
 SNAPSHOT_DIR = Path(__file__).resolve().parent
 SECTORS = ("CD", "SC")
-METHODS = ("I", "II", "III", "IV", "V")
 
 
 def render_snapshots(cd_series, sc_series, method_reports) -> dict[str, str]:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import oracles
 from indexcast import arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
-                       SeriesTooShortError, choose_difference_order,
-                       css_objective, difference, fit_arima, forecast_arima,
-                       integrate, make_series, select_order, slice_window)
+                       SelectionFailedError, SeriesTooShortError,
+                       choose_difference_order, css_objective, difference,
+                       fit_arima, forecast_arima, integrate, make_series,
+                       select_order, slice_window)
 from indexcast.arima import COEF_BOUND, MAX_P, MAX_Q
 
 
@@ -338,6 +339,17 @@ class TestSelectOrder:
         series = make_series("2010-01", 1e200 * (1.0 + 0.01 * rng.normal(size=60)))
         with np.errstate(all="ignore"), pytest.raises(ComputationError):
             select_order(series)
+
+    @pytest.mark.parametrize("values", [
+        1e200 * (1.0 + 0.01 * np.random.default_rng(3).normal(size=60)),
+        [1.7e308 if t % 2 else -1.7e308 for t in range(36)],  # diffs overflow
+    ], ids=["squares", "differences"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_a_warning(self, values):
+        # no errstate here: the fits and the differencing choice must keep
+        # their overflowing array arithmetic quiet, as plain floats are
+        with pytest.raises(SelectionFailedError):
+            select_order(make_series("2010-01", values))
 
     def test_selection_does_not_depend_on_units(self, window_selections):
         # a*y + b selects the same order, and its forecasts are a*f + b up

@@ -7,7 +7,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR
 from indexcast import make_series, write_values_file
 from indexcast.cli import main
+from indexcast.evaluate import METHODS
+from snapshots.regenerate import SNAPSHOT_DIR
 
 CD = str(DATA_DIR / "consumer_durables_monthly.txt")
 SC = str(DATA_DIR / "small_cap_monthly.txt")
@@ -193,16 +194,30 @@ class TestForecast:
         assert exc.value.code == 2
         assert "12 for method III, got" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["I", "IV"])
+    @pytest.mark.parametrize("method", ["I", "II", "IV", "V"])
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_computation_error(self, method, capsys, tmp_path):
+        # the sums of squares overflow; stderr holds the error line alone,
+        # with no numpy warning before it
         huge = tmp_path / "huge.txt"
         huge.write_text("".join(f"{1e200 * (1.0 + 0.01 * (t % 7))!r}\n"
                                 for t in range(72)))
-        with np.errstate(all="ignore"):
-            code, _, err = run_cli(capsys, "forecast", "--method", method,
-                                   "--input", str(huge), "--start", "2010-01")
+        code, _, err = run_cli(capsys, "forecast", "--method", method,
+                               "--input", str(huge), "--start", "2010-01")
         assert code == 4
-        assert "computation error" in err
+        assert err.startswith("computation error")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    @pytest.mark.parametrize("sector, path", [("CD", CD), ("SC", SC)])
+    def test_full_precision_csv_matches_snapshot(self, sector, path, method,
+                                                 capsys):
+        code, out, _ = run_cli(capsys, "forecast", "--method", method,
+                               "--input", path, "--start", "2010-01",
+                               "--precision", "full", "--output-format", "csv")
+        assert code == 0
+        snapshot = SNAPSHOT_DIR / f"method_{sector}_{method}.csv"
+        assert out.encode("utf-8") == snapshot.read_bytes()
 
     def test_method_three_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "forecast", "--method", "III",
@@ -281,6 +296,18 @@ class TestCompare:
                                "--start", "2010-01")
         assert code == 0
         assert "series2 more random:" in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_decomposition_is_computation_error(self, capsys,
+                                                            tmp_path):
+        extremes = tmp_path / "extremes.txt"
+        extremes.write_text("".join("1.7e308\n" if t % 2 else "-1.7e308\n"
+                                    for t in range(36)))
+        for argv in (["decompose"], ["compare", "--input2", CD]):
+            code, out, err = run_cli(capsys, *argv, "--input", str(extremes),
+                                     "--start", "2010-01")
+            assert (code, out) == (4, "")
+            assert err.startswith("computation error: seasonal indices")
 
     def test_same_file_twice_gives_false_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--input", CD,

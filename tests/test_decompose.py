@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
-from indexcast import (InsufficientCoverageError, SeriesTooShortError,
-                       centered_moving_average_trend, component_percentage,
-                       decompose_additive, make_series, seasonal_indices)
+from indexcast import (ComputationError, InsufficientCoverageError,
+                       SeriesTooShortError, centered_moving_average_trend,
+                       component_percentage, decompose_additive, make_series,
+                       seasonal_indices)
+
+BIG = 1.7e308  # finite, but two of them overflow a sum
+
+
+def alternating_extremes(n=36):
+    return make_series("2010-01", [BIG if t % 2 else -BIG for t in range(n)])
 
 
 def linear(a, b, n, start="2010-01"):
@@ -65,6 +72,15 @@ class TestSeasonalIndices:
             seasonal_indices(s, trend)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_means_raise_without_a_warning(self):
+        # each calendar month's detrended values share a sign near 1.7e308,
+        # so their sum overflows; the arrays must not warn on the way
+        series = alternating_extremes()
+        with pytest.raises(ComputationError, match="seasonal indices"):
+            seasonal_indices(series, centered_moving_average_trend(series))
+
+
 class TestDecomposeAdditive:
     def test_consumer_durables_july_2010(self, cd_series):
         d = decompose_additive(cd_series)
@@ -105,6 +121,18 @@ class TestDecomposeAdditive:
             decompose_additive(make_series("2010-01", [1.0] * 12))
         with pytest.raises(SeriesTooShortError):
             decompose_additive(make_series("2010-01", list(range(20))))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_a_computation_error(self):
+        with pytest.raises(ComputationError, match="seasonal indices"):
+            decompose_additive(alternating_extremes())
+        # finite indices, but y - trend - seasonal overflows in 2011-07
+        extremes = {1: -BIG, 3: BIG, 6: BIG, 7: -BIG, 11: -BIG, 12: BIG,
+                    17: BIG, 18: -BIG}
+        series = make_series("2010-01", [extremes.get(t, 0.0) for t in range(25)])
+        with pytest.raises(ComputationError,
+                           match="random component at 2011-07 is not finite"):
+            decompose_additive(series)
 
 
 class TestDecompositionProperties:

@@ -6,8 +6,8 @@ from indexcast import (InsufficientDataError, MonthStamp, NoOverlapError,
                        SeriesTooShortError, absolute_percentage_error,
                        compare_hypotheses, component_percentage,
                        decompose_additive, make_series, run_fixed_origin,
-                       run_rolling, run_trend_seasonal, structural_stability,
-                       summarize_errors)
+                       run_method, run_rolling, run_trend_seasonal,
+                       structural_stability, summarize_errors)
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -181,6 +181,43 @@ class TestTrendSeasonal:
             train_end.offset(h) for h in range(-5, 7)]
         with pytest.raises(SeriesTooShortError):
             run_trend_seasonal(series, series.month_at(35))
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize("method_id, horizon, message", [
+        ("VI", 12, "unknown method"),
+        ("iv", 12, "unknown method"),
+        ("III", 6, "method III covers 12 months"),
+    ])
+    def test_bad_request_raises_before_any_fit(self, cd_series, monkeypatch,
+                                               method_id, horizon, message):
+        from indexcast import evaluate
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
+        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        with pytest.raises(ValueError, match=message):
+            run_method(cd_series, method_id, MonthStamp(2014, 12), horizon)
+        assert fits == []
+
+    @pytest.mark.parametrize("method_id, protocol, args", [
+        ("I", "run_fixed_origin", ("holt_winters", MonthStamp(2014, 12), 12)),
+        ("II", "run_rolling",
+         ("holt_winters", MonthStamp(2015, 1), MonthStamp(2015, 12))),
+        ("III", "run_trend_seasonal", (MonthStamp(2014, 12),)),
+        ("IV", "run_fixed_origin", ("arima", MonthStamp(2014, 12), 12)),
+        ("V", "run_rolling",
+         ("arima", MonthStamp(2015, 1), MonthStamp(2015, 12))),
+    ])
+    def test_dispatch_reaches_the_module_protocols(self, cd_series, monkeypatch,
+                                                   method_id, protocol, args):
+        # the protocol is looked up on the module at call time, so a wrapper
+        # set there (as the benchmark's tracer sets one) sees the call
+        from indexcast import evaluate
+        calls = []
+        monkeypatch.setattr(evaluate, protocol,
+                            lambda *a: calls.append(a) or "report")
+        assert run_method(cd_series, method_id, MonthStamp(2014, 12)) == "report"
+        assert calls == [(cd_series, *args)]
 
 
 class TestStructuralStability:
