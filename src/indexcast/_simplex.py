@@ -11,13 +11,29 @@ here every vertex is a list of floats.  Both model fits call it directly.
 It is named ``minimize`` because the benchmark's tracer (``bench/spans.py``)
 wraps the ``minimize`` attribute of ``indexcast.arima`` and
 ``indexcast.holtwinters`` to count evaluations and unconverged runs.
+
+Vertex order.  scipy re-sorts the vertices with ``np.argsort`` after every
+step.  When the values are strictly increasing in some order, that order is
+the only one ``argsort`` can return, so ``_sorted`` tries Python's
+``sorted`` first and calls ``np.argsort`` only on a tie, a +-0.0 pair or a
+NaN, where numpy's kernel decides the order.  A step that does not shrink
+changes only the worst vertex, so after a strict order the new value is
+placed by bisection among the other n, and the full sort runs only when it
+is not strictly between its neighbours.  While the order is strict the
+``fatol`` test reduces to the spread between the best and worst values.
+
+Clipping.  Each trial point is clipped as ``np.clip`` clips it in scipy:
+from two coordinates on, a NaN stays NaN and -0.0 at a +0.0 lower bound
+becomes +0.0.  With one coordinate numpy takes its scalar-operand loop,
+which keeps the -0.0.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
-from operator import add
+from operator import add, lt
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,11 +49,33 @@ class _BudgetSpent(Exception):
 def _sorted(sim, fsim):
     """The vertices and their values in the order of ``np.argsort(fsim)``.
 
-    numpy's order among equal values depends on the sort kernel it picked
-    for the CPU, and scipy's centroid sums the rows in that order.
+    Also returns whether the values are strictly increasing in that order.
+    Only then is the order unique; among equal values numpy's order depends
+    on the sort kernel it picked for the CPU, and scipy's centroid sums the
+    rows in that order.
     """
-    order = np.argsort(np.array(fsim)).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    strict = all(map(lt, values, values[1:]))
+    if not strict:
+        order = np.argsort(np.array(fsim)).tolist()
+        values = [fsim[i] for i in order]
+    return [sim[i] for i in order], values, strict
+
+
+def _placed_worst(sim, fsim):
+    """Move the last vertex to its place among the others, whose values
+    strictly increase; False, with nothing moved, unless its value lands
+    strictly between its neighbours' (so a tie or a NaN is refused).
+    """
+    n = len(fsim) - 1
+    # bisect_left leaves every value before k below the new one
+    k = bisect_left(fsim, fsim[-1], 0, n)
+    if k < n and not fsim[-1] < fsim[k]:
+        return False
+    sim.insert(k, sim.pop())
+    fsim.insert(k, fsim.pop())
+    return True
 
 
 def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
@@ -54,11 +92,21 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
     lower = [lo for lo, _ in bounds]
     upper = [hi for _, hi in bounds]
 
-    def clip(x):
-        # np.clip's comparisons in its order: a NaN stays NaN, and -0.0
-        # clipped at a +0.0 lower bound becomes +0.0
-        x = [v if v != v or v > lo else lo for v, lo in zip(x, lower)]
-        return [v if v != v or v < hi else hi for v, hi in zip(x, upper)]
+    if n == 1:
+        (lo1, hi1), = bounds
+
+        def clip(x):
+            # numpy's scalar-operand loop, which scipy's one-coordinate
+            # bounds take: -0.0 at a +0.0 lower bound stays -0.0
+            v = lo1 if x[0] < lo1 else x[0]
+            return [hi1 if v > hi1 else v]
+    else:
+        def clip(x):
+            # np.clip's comparisons in its order: a NaN stays NaN, and -0.0
+            # clipped at a +0.0 lower bound becomes +0.0
+            return [v if v != v else (v if v < hi else hi) if v > lo
+                    else (lo if lo < hi else hi)
+                    for v, lo, hi in zip(x, lower, upper)]
 
     nfev = 0
 
@@ -86,17 +134,22 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
     except _BudgetSpent:
         pass
     for _ in range(2):  # scipy sorts twice here, and argsort may swap ties
-        sim, fsim = _sorted(sim, fsim)
+        sim, fsim, strict = _sorted(sim, fsim)
 
     iterations = 1
     while nfev < maxfev:
+        doshrink = False
         try:
             best = sim[0]
-            # all(), not max(): a NaN difference must fail the test.  Both
-            # tests are pure, so the cheaper one goes first.
-            if (all(abs(fsim[0] - fy) <= fatol for fy in fsim[1:])
-                    and all(abs(v - b) <= xatol
-                            for y in sim[1:] for v, b in zip(y, best))):
+            if strict:
+                # rounding is monotone, so over strictly increasing values
+                # the largest difference is the worst value's, inf included
+                fclose = fsim[-1] - fsim[0] <= fatol
+            else:  # all(), not max(): a NaN difference must fail the test
+                fclose = all(abs(fsim[0] - fy) <= fatol for fy in fsim[1:])
+            # both tests are pure, so the cheaper one goes first
+            if fclose and all(abs(v - b) <= xatol
+                              for y in sim[1:] for v, b in zip(y, best)):
                 break
             # the centroid sums as numpy's column reduction does: row by
             # row, starting from +0.0
@@ -104,7 +157,6 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
             worst = sim[-1]
             xr = clip([2 * c - w for c, w in zip(xbar, worst)])
             fxr = f(xr)
-            doshrink = False
             if fxr < fsim[0]:
                 xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
                 fxe = f(xe)
@@ -136,7 +188,9 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
             iterations += 1
         except _BudgetSpent:
             pass
-        sim, fsim = _sorted(sim, fsim)
+        # a step that does not shrink changes only the worst vertex
+        if doshrink or not strict or not _placed_worst(sim, fsim):
+            sim, fsim, strict = _sorted(sim, fsim)
 
     # np.min, not min(): a NaN value must propagate to fun
     return SimpleNamespace(x=sim[0], fun=float(np.min(fsim)), nfev=nfev,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .decompose import decompose_additive
-from .errors import ComputationError, DataError
+from .errors import ComputationError, DataError, SeriesTooShortError
 from .evaluate import (METHODS, compare_hypotheses, run_method,
                        structural_stability)
 from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
@@ -97,6 +97,11 @@ def cmd_forecast(args, parser):
 
 def cmd_stability(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
+    # each default window's 2x12 trend leaves out 6 months at either end,
+    # so the two overlap only from 37 months on
+    if not (args.window_a or args.window_b) and len(series) < 37:
+        raise SeriesTooShortError("the default windows need at least 37 "
+                                  f"months, got {len(series)}")
     if args.window_a:
         window_a = _window(parser, args.window_a, "--window-a")
     else:

@@ -213,10 +213,13 @@ def run_method(series: MonthlyTimeSeries, method_id: str,
 
     I and IV fit once and forecast the `horizon` months after train_end; II
     and V refit before each of them.  III always covers 12 months.  An
-    unknown id, or III with another horizon, raises ValueError before any fit.
+    unknown id, a horizon below 1, or III with another horizon, raises
+    ValueError before any fit.
     """
     if method_id not in METHODS:
         raise ValueError(f"unknown method {method_id!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     engine, protocol = METHODS[method_id]
     # looked up at call time, so a wrapper set on this module sees each call
     if protocol == "fixed":

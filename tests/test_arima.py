@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from indexcast import arima
+from indexcast import _simplex, arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
                        SelectionFailedError, SeriesTooShortError,
                        choose_difference_order, css_objective, difference,
@@ -279,9 +279,23 @@ def _search_key(model):
     return (model.aicc if usable else math.inf, o.p + o.q, o.p, o.q, o.drift)
 
 
+class _ArgsortSpy:
+    """numpy as ``_simplex`` sees it, counting its ``argsort`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a):
+        self.calls += 1
+        return np.argsort(a)
+
+
 class TestSelectOrder:
     def test_stepwise_search(self, window_selections, monkeypatch):
-        fitted, runs = [], []
+        fitted, runs, numpy = [], [], _ArgsortSpy()
         fit, run = arima.fit_arima, arima.minimize
 
         def recording_fit(series, order):
@@ -294,10 +308,12 @@ class TestSelectOrder:
 
         monkeypatch.setattr(arima, "fit_arima", recording_fit)
         monkeypatch.setattr(arima, "minimize", recording_minimize)
+        monkeypatch.setattr(_simplex, "np", numpy)
         work_per_sector = {}
         for sector, (train, selected) in window_selections.items():
             fitted.clear()
             runs.clear()
+            numpy.calls = 0
             assert select_order(train) == selected
             keys = {(m.order.p, m.order.q, m.order.drift): _search_key(m)
                     for m in fitted}
@@ -314,10 +330,13 @@ class TestSelectOrder:
             for neighbour in neighbours + [(p, q, not drift)]:
                 assert keys[p, q, drift] < keys[neighbour], (sector, neighbour)
             work_per_sector[sector] = (len(fitted), len(runs),
-                                       sum(r.nfev for r in runs))
-        # fits, simplex runs (the (0,d,0) fits run none) and the CSS
-        # evaluations those runs report: exact counts of the search's work
-        assert work_per_sector == {"CD": (9, 7, 1128), "SC": (13, 11, 1595)}
+                                       sum(r.nfev for r in runs), numpy.calls)
+        # fits, simplex runs (the (0,d,0) fits run none), the CSS
+        # evaluations those runs report, and the simplex's np.argsort calls:
+        # exact counts of the search's work.  The simplex orders distinct
+        # vertex values without numpy, and these fits never tie.
+        assert work_per_sector == {"CD": (9, 7, 1128, 0),
+                                   "SC": (13, 11, 1595, 0)}
 
     def test_ramp_selects_difference_and_fits_exactly(self):
         s = make_series("2010-01", [100.0 + 5.0 * t for t in range(30)])

@@ -256,6 +256,22 @@ class TestStability:
         signs = {float(r[-1]) > 0 for r in rows}
         assert signs == {True, False}
 
+    @pytest.mark.parametrize("months, code", [(36, 4), (37, 0)])
+    def test_default_windows_need_37_months(self, capsys, tmp_path, cd_series,
+                                            months, code):
+        source = tmp_path / "short.txt"
+        write_values_file(source, make_series("2010-01",
+                                              cd_series.values[:months]))
+        result, out, err = run_cli(capsys, "stability", "--input", str(source),
+                                   "--start", "2010-01",
+                                   "--output-format", "csv")
+        assert result == code
+        if code:
+            assert err == ("computation error: the default windows need at "
+                           "least 37 months, got 36\n")
+        else:
+            assert len(list(csv.reader(io.StringIO(out)))) == 2  # one row
+
     def test_no_overlap_is_computation_error(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--input", CD,
                                "--start", "2010-01",

@@ -188,6 +188,8 @@ class TestRunMethod:
         ("VI", 12, "unknown method"),
         ("iv", 12, "unknown method"),
         ("III", 6, "method III covers 12 months"),
+        *[(method_id, 0, "horizon must be >= 1")
+          for method_id in ("I", "II", "III", "IV", "V")],
     ])
     def test_bad_request_raises_before_any_fit(self, cd_series, monkeypatch,
                                                method_id, horizon, message):

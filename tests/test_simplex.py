@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexcast import (ArimaOrder, MonthlyTimeSeries, MonthStamp, _simplex,
                        arima, fit_arima, fit_holt_winters, holtwinters,
@@ -105,14 +107,17 @@ class TestEdgeCases:
         same_as_scipy(_bowl, [1.0, 0.5, 1.0], bounds=[(0.0, 1.0)] * 3,
                       options=dict(xatol=1e-8, fatol=1e-12, maxfev=600))
 
-    def test_negative_zero_start_clips_to_the_zero_lower_bound(self):
-        # np.clip turns -0.0 at a +0.0 lower bound into +0.0; an objective
-        # that reads the sign tells the two apart
+    @pytest.mark.parametrize("x0", [[-0.0], [-0.0, 0.5]])
+    def test_negative_zero_start_clips_to_the_zero_lower_bound(self, x0):
+        # from two coordinates on np.clip turns -0.0 at a +0.0 lower bound
+        # into +0.0, with one it keeps -0.0; an objective that reads the
+        # sign tells the two apart
         def fun(x):
-            return math.copysign(1.0, x[0]) + (x[1] - 0.2) ** 2
+            return math.copysign(1.0, x[0]) + (x[-1] - 0.2) ** 2
 
-        same_as_scipy(fun, [-0.0, 0.5], bounds=[(0.0, 1.0)] * 2,
-                      options=dict(maxfev=400))
+        for maxfev in (3, 400):
+            same_as_scipy(fun, x0, bounds=[(0.0, 1.0)] * len(x0),
+                          options=dict(maxfev=maxfev))
 
     @pytest.mark.parametrize("x0", [[0.2, -0.1], [0.3, 0.6, 0.9, 1.2],
                                     [1.5] * 5])
@@ -156,6 +161,52 @@ class TestEdgeCases:
             result = same_as_scipy(fun, x0, bounds=[_FREE] * len(x0),
                                    options=dict(maxfev=maxfev))
             assert result.nfev == maxfev and not result.success
+
+
+def _floored_bowl(centre, ripple, step, nan_above, inf_below):
+    """A bowl with a ``ripple`` (local minima, so the simplex shrinks) whose
+    values are floored to multiples of ``step``, so vertex values tie often;
+    NaN above ``nan_above`` and inf below ``inf_below`` in the first
+    coordinate, and -0.0 where it is zero and the last is below 0.
+    """
+    def fun(x):
+        if x[0] > nan_above:
+            return math.nan
+        if x[0] < inf_below:
+            return math.inf
+        value = sum((v - c) ** 2 + ripple * (1.0 - math.cos(20.0 * v))
+                    for v, c in zip(x, centre))
+        if step:
+            value = step * math.floor(value / step)
+        return -0.0 if value == 0.0 and x[-1] < 0.0 else value
+    return fun
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:Initial guess is not within")
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_same_as_scipy_on_ties_and_non_finite_values(data):
+    # ties, +-0.0 pairs and NaN send the vertex order to numpy, distinct
+    # values keep it in Python, by a full sort or by placing the one new
+    # vertex, and small budgets stop in the middle of a step or a shrink
+    n = data.draw(st.integers(1, 6), label="n")
+
+    def each(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    bounds = data.draw(each(st.sampled_from(
+        [(-0.99, 0.99), (0.0, 1.0), _FREE])), label="bounds")
+    x0 = data.draw(each(st.sampled_from([-0.0, 0.0, 0.99])
+                        | st.floats(-1.5, 1.5)), label="x0")
+    fun = _floored_bowl(
+        data.draw(each(st.floats(-2.0, 2.0)), label="centre"),
+        data.draw(st.sampled_from([0.0, 0.1]), label="ripple"),
+        data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]), label="step"),
+        data.draw(st.just(math.inf) | st.floats(0.0, 2.0), label="nan_above"),
+        data.draw(st.just(-math.inf) | st.floats(-2.0, 0.0), label="inf_below"))
+    maxfev = data.draw(st.sampled_from([3, 50, 200 * n]), label="maxfev")
+    same_as_scipy(fun, x0, bounds, options=dict(maxfev=maxfev))
 
 
 def test_unknown_option_raises():
