@@ -1,9 +1,10 @@
 """Check whether the trend+seasonal structure drifts between two windows.
 
 Decomposes 2010-2014 and 2011-2015 independently and compares the
-trend+seasonal sums over the overlap (Jul 2011 - Jun 2014).  Small signed
-variations mean the series kept its structure when the first year of data
-was swapped for the last one.
+trend+seasonal sums over the overlap (Jul 2011 - Jun 2014).  These are
+``structural_stability``'s default windows: all but the last year and all
+but the first.  Small signed variations mean the series kept its structure
+when the first year of data was swapped for the last one.
 """
 
 import pathlib
@@ -14,13 +15,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 from indexcast import MonthStamp, read_values_file, structural_stability
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
-WINDOW_A = (MonthStamp(2010, 1), MonthStamp(2014, 12))
-WINDOW_B = (MonthStamp(2011, 1), MonthStamp(2015, 12))
 
 for name, filename in [("Consumer Durables", "consumer_durables_monthly.txt"),
                        ("Small Cap", "small_cap_monthly.txt")]:
     series = read_values_file(DATA / filename, MonthStamp(2010, 1))
-    rows = structural_stability(series, WINDOW_A, WINDOW_B)
+    rows = structural_stability(series)
     variations = [r.variation_pct for r in rows]
     print(f"=== {name}: {len(rows)} overlap months "
           f"{rows[0].month}..{rows[-1].month}")

@@ -16,8 +16,9 @@ from .decompose import (DecompositionResult, centered_moving_average_trend,
                         seasonal_indices)
 from .errors import (ComputationError, DataError, EmptyInputError,
                      GapInSeriesError, IndexcastError, InsufficientCoverageError,
-                     InsufficientDataError, NoOverlapError, OutOfRangeError,
-                     ParseError, SelectionFailedError, SeriesTooShortError)
+                     InsufficientDataError, MissingStartError, NoOverlapError,
+                     OutOfRangeError, ParseError, SelectionFailedError,
+                     SeriesTooShortError)
 from .evaluate import (ErrorSummary, ForecastRow, HypothesisReport,
                        MethodReport, StabilityRow, absolute_percentage_error,
                        compare_hypotheses, run_fixed_origin, run_method,

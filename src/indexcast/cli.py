@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .decompose import decompose_additive
-from .errors import ComputationError, DataError, SeriesTooShortError
+from .errors import ComputationError, DataError, MissingStartError
 from .evaluate import (METHODS, compare_hypotheses, run_method,
                        structural_stability)
 from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
@@ -37,12 +37,11 @@ def _window(parser, text, flag):
     return (_month(parser, parts[0], flag), _month(parser, parts[1], flag))
 
 
-def _load_series(parser, path, fmt, start_text, flag="--input") -> MonthlyTimeSeries:
-    if fmt == "values":
-        if not start_text:
-            parser.error(f"{flag}: values format requires --start YYYY-MM")
-        return read_values_file(path, _month(parser, start_text, "--start"))
-    return read_daily_csv(path)
+def _load_series(parser, path, fmt, start_text) -> MonthlyTimeSeries:
+    if fmt == "daily_csv":
+        return read_daily_csv(path)
+    return read_values_file(
+        path, _month(parser, start_text, "--start") if start_text else None)
 
 
 def _write_output(args, text):
@@ -50,6 +49,11 @@ def _write_output(args, text):
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _write_plot(path, panels, months, title):
+    chart = render_chart(panels, [str(m) for m in months], title=title)
+    Path(path).write_text(chart, encoding="utf-8")
 
 
 def cmd_ingest(args, parser):
@@ -73,10 +77,7 @@ def cmd_decompose(args, parser):
         panels = [Panel(name, (Line(name, values),)) for name, values in (
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
-        labels = [str(m) for m in series.months()]
-        Path(args.plot).write_text(
-            render_chart(panels, labels, title="additive decomposition"),
-            encoding="utf-8")
+        _write_plot(args.plot, panels, series.months(), "additive decomposition")
     return 0
 
 
@@ -85,10 +86,7 @@ def cmd_forecast(args, parser):
     if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
         parser.error(f"--horizon must be at least 2 (the error summary needs two "
                      f"months) and 12 for method III, got {args.horizon}")
-    if args.train_end:
-        train_end = _month(parser, args.train_end, "--train-end")
-    else:
-        train_end = series.end.offset(-args.horizon)
+    train_end = _month(parser, args.train_end, "--train-end") if args.train_end else None
     report = run_method(series, args.method, train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
                                              args.precision))
@@ -97,19 +95,8 @@ def cmd_forecast(args, parser):
 
 def cmd_stability(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
-    # each default window's 2x12 trend leaves out 6 months at either end,
-    # so the two overlap only from 37 months on
-    if not (args.window_a or args.window_b) and len(series) < 37:
-        raise SeriesTooShortError("the default windows need at least 37 "
-                                  f"months, got {len(series)}")
-    if args.window_a:
-        window_a = _window(parser, args.window_a, "--window-a")
-    else:
-        window_a = (series.start, series.end.offset(-12))
-    if args.window_b:
-        window_b = _window(parser, args.window_b, "--window-b")
-    else:
-        window_b = (series.start.offset(12), series.end)
+    window_a = _window(parser, args.window_a, "--window-a") if args.window_a else None
+    window_b = _window(parser, args.window_b, "--window-b") if args.window_b else None
     rows = structural_stability(series, window_a, window_b)
     _write_output(args, render_stability(rows, args.output_format, args.precision))
     return 0
@@ -118,24 +105,18 @@ def cmd_stability(args, parser):
 def cmd_compare(args, parser):
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
-                            args.start2 or args.start, flag="--input2")
+                            args.start2 or args.start)
     if args.plot and series_1.months() != series_2.months():
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
     _write_output(args, render_hypotheses(report, args.precision))
     if args.plot:
-        panels = [
-            Panel("seasonal component, % of series", (
-                Line("series 1", report.seasonal_pct_1),
-                Line("series 2", report.seasonal_pct_2))),
-            Panel("random component, % of series", (
-                Line("series 1", report.random_pct_1),
-                Line("series 2", report.random_pct_2))),
-        ]
-        labels = [str(m) for m in series_1.months()]
-        Path(args.plot).write_text(
-            render_chart(panels, labels, title="component comparison"),
-            encoding="utf-8")
+        panels = [Panel(f"{name} component, % of series",
+                        (Line("series 1", pct_1), Line("series 2", pct_2)))
+                  for name, pct_1, pct_2 in (
+                      ("seasonal", report.seasonal_pct_1, report.seasonal_pct_2),
+                      ("random", report.random_pct_1, report.random_pct_2))]
+        _write_plot(args.plot, panels, series_1.months(), "component comparison")
     return 0
 
 
@@ -143,7 +124,8 @@ def _add_common(sub, table=False):
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
                      default="values", help="input format (default: values)")
-    sub.add_argument("--start", help="start month YYYY-MM (values format)")
+    sub.add_argument("--start", help="start month YYYY-MM (values format; "
+                                     "default: the file's '# start' line)")
     sub.add_argument("--out", help="write output here instead of stdout")
     if table:  # only subcommands that render a table take a table format
         sub.add_argument("--output-format", choices=["text", "csv", "markdown"],
@@ -199,6 +181,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except MissingStartError as exc:
+        parser.error(f"{exc}; give --start YYYY-MM or a '# start YYYY-MM' line")
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 3

@@ -1,13 +1,13 @@
 """Exception hierarchy.
 
 ``DataError`` subclasses flag problems with input data (bad files, malformed
-series, a file whose start month conflicts with the one given, windows
-outside the data span).  ``ComputationError`` and its subclasses flag inputs
-that are structurally valid but cannot support the requested computation
-(series too short, no usable model order, sums of squares that overflow,
-empty overlaps).  Plain ``ValueError`` / ``ZeroDivisionError`` are raised
-for contract misuse such as out-of-range smoothing parameters or division by
-a zero observation.
+series, a file whose start month conflicts with the one given or is named
+nowhere, windows outside the data span).  ``ComputationError`` and its
+subclasses flag inputs that are structurally valid but cannot support the
+requested computation (series too short, no usable model order, sums of
+squares that overflow, empty overlaps).  Plain ``ValueError`` /
+``ZeroDivisionError`` are raised for contract misuse such as out-of-range
+smoothing parameters or division by a zero observation.
 """
 
 
@@ -29,6 +29,10 @@ class GapInSeriesError(DataError):
 
 class OutOfRangeError(DataError):
     """Requested window or month lies outside the series span."""
+
+
+class MissingStartError(DataError):
+    """A values file names no start month and none was given."""
 
 
 class ParseError(DataError):

@@ -18,7 +18,8 @@ from typing import Literal
 
 from .arima import forecast_arima, select_order
 from .decompose import component_percentage, decompose_additive
-from .errors import InsufficientDataError, NoOverlapError, OutOfRangeError
+from .errors import (InsufficientDataError, NoOverlapError, OutOfRangeError,
+                     SeriesTooShortError)
 from .holtwinters import fit_holt_winters, forecast_hw
 from .series import MonthlyTimeSeries, MonthStamp, slice_window
 
@@ -208,18 +209,20 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
 
 
 def run_method(series: MonthlyTimeSeries, method_id: str,
-               train_end: MonthStamp, horizon: int = 12) -> MethodReport:
+               train_end: MonthStamp | None = None, horizon: int = 12) -> MethodReport:
     """Run method I-V of ``METHODS`` with training data through train_end.
 
     I and IV fit once and forecast the `horizon` months after train_end; II
-    and V refit before each of them.  III always covers 12 months.  An
-    unknown id, a horizon below 1, or III with another horizon, raises
-    ValueError before any fit.
+    and V refit before each of them.  III always covers 12 months.  Without
+    train_end the last `horizon` months are forecast, as the paper trains
+    through 2014 and tests on 2015.  An unknown id, a horizon below 1, or
+    III with another horizon, raises ValueError before any fit.
     """
     if method_id not in METHODS:
         raise ValueError(f"unknown method {method_id!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    train_end = train_end or series.end.offset(-horizon)
     engine, protocol = METHODS[method_id]
     # looked up at call time, so a wrapper set on this module sees each call
     if protocol == "fixed":
@@ -233,14 +236,24 @@ def run_method(series: MonthlyTimeSeries, method_id: str,
 
 
 def structural_stability(series_full: MonthlyTimeSeries,
-                         window_a: tuple[MonthStamp, MonthStamp],
-                         window_b: tuple[MonthStamp, MonthStamp]) -> tuple[StabilityRow, ...]:
+                         window_a: tuple[MonthStamp, MonthStamp] | None = None,
+                         window_b: tuple[MonthStamp, MonthStamp] | None = None,
+                         ) -> tuple[StabilityRow, ...]:
     """Compare trend+seasonal sums from two windows over their overlap (method VI).
 
     Each window is decomposed independently; for every month where both
     trends are defined the signed variation (sum_b - sum_a) / sum_a * 100
-    is reported.
+    is reported.  By default window_a is all but the last year and window_b
+    all but the first, as the paper compares 2010-2014 with 2011-2015; with
+    both defaults a series shorter than 37 months raises SeriesTooShortError.
     """
+    # each default window's 2x12 trend leaves out 6 months at either end,
+    # so the two overlap only from 37 months on
+    if not (window_a or window_b) and len(series_full) < 37:
+        raise SeriesTooShortError("the default windows need at least 37 "
+                                  f"months, got {len(series_full)}")
+    window_a = window_a or (series_full.start, series_full.end.offset(-12))
+    window_b = window_b or (series_full.start.offset(12), series_full.end)
     dec_a = decompose_additive(slice_window(series_full, *window_a))
     dec_b = decompose_additive(slice_window(series_full, *window_b))
     trend_a, trend_b = dec_a.trend_series(), dec_b.trend_series()

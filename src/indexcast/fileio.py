@@ -1,10 +1,11 @@
 """File ingestion and writing for the two supported input formats.
 
 Values format: one finite decimal per line for consecutive months, ``#``
-comment lines allowed; the start month is supplied out of band and must
-match a ``# start YYYY-MM`` line if the file has one.  Daily CSV: header
-``date,value`` with ISO-8601 dates, averaged per calendar month.  Both
-readers skip a leading UTF-8 byte order mark (spreadsheets write one).
+comment lines allowed; the start month comes from the caller or from a
+``# start YYYY-MM`` line, and the two must agree when both are given.
+Daily CSV: header ``date,value`` with ISO-8601 dates, averaged per calendar
+month.  Both readers skip a leading UTF-8 byte order mark (spreadsheets
+write one).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import datetime
 import math
 from pathlib import Path
-from .errors import DataError, EmptyInputError, ParseError
+from .errors import DataError, EmptyInputError, MissingStartError, ParseError
 from .series import MonthlyTimeSeries, MonthStamp, aggregate_daily_to_monthly
 
 
@@ -37,23 +38,31 @@ def _number(text: str, path, line_number: int) -> float:
     return value
 
 
-def read_values_file(path: str | Path, start: MonthStamp) -> MonthlyTimeSeries:
+def read_values_file(path: str | Path,
+                     start: MonthStamp | None = None) -> MonthlyTimeSeries:
     """Read a values-format file into a series starting at `start`.
 
-    A ``# start YYYY-MM`` line naming another month raises ``DataError``.
+    Without `start` the file's ``# start YYYY-MM`` line gives the month, and
+    a file without one raises ``MissingStartError``.  A ``# start`` line
+    naming another month than `start` or an earlier line raises
+    ``DataError``.
     """
     values = []
     with open(path, "r", encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if text.startswith("#"):
-                if _header_month(text) not in (None, start):
+                month = _header_month(text)
+                start = start or month
+                if month not in (None, start):
                     raise DataError(f"{path}:{line_number}: {text!r} conflicts "
                                     f"with start month {start}")
             elif text:
                 values.append(_number(text, path, line_number))
     if not values:
         raise EmptyInputError(f"no values in {path}")
+    if start is None:
+        raise MissingStartError(f"{path} names no start month")
     return MonthlyTimeSeries(start, tuple(values))
 
 

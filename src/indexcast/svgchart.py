@@ -56,8 +56,6 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
     if not panels:
         raise ValueError("no panels to render")
     n_points = max(len(line.values) for panel in panels for line in panel.lines)
-    if n_points < 1:
-        raise ValueError("no points to render")
     height = MARGIN_TOP + PANEL_HEIGHT * len(panels) + MARGIN_BOTTOM
     plot_left = MARGIN_LEFT
     plot_right = WIDTH - MARGIN_RIGHT
@@ -77,6 +75,8 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
         top = MARGIN_TOP + pi * PANEL_HEIGHT + 18
         bottom = MARGIN_TOP + (pi + 1) * PANEL_HEIGHT - 14
         defined = [v for line in panel.lines for v in line.values if v is not None]
+        if not defined:
+            raise ValueError(f"panel {panel.title!r} has no defined value")
         lo, hi = min(defined), max(defined)
         if hi == lo:
             lo, hi = lo - 1.0, hi + 1.0

@@ -1,7 +1,7 @@
 """Rewrite the tier-1 snapshots in this directory from the current code.
 
 The snapshots are ``--precision full`` renders of every method report, both
-fixtures' decompositions and stability tables (the CLI's default windows),
+fixtures' decompositions and stability tables (the default windows),
 and the two-fixture hypothesis comparison; ``tests/test_snapshots.py``
 compares them byte for byte.  After a deliberate change of results, run
 
@@ -30,10 +30,8 @@ def render_snapshots(cd_series, sc_series, method_reports) -> dict[str, str]:
     for sector, series in zip(SECTORS, (cd_series, sc_series)):
         out[f"decomposition_{sector}.csv"] = render_decomposition(
             decompose_additive(series), "csv", "full")
-        rows = structural_stability(series,
-                                    (series.start, series.end.offset(-12)),
-                                    (series.start.offset(12), series.end))
-        out[f"stability_{sector}.csv"] = render_stability(rows, "csv", "full")
+        out[f"stability_{sector}.csv"] = render_stability(
+            structural_stability(series), "csv", "full")
     out["hypotheses.txt"] = render_hypotheses(
         compare_hypotheses(cd_series, sc_series), "full")
     return out

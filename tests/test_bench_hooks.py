@@ -1,16 +1,23 @@
-"""The traced benchmark's hooks must name functions that exist.
+"""The benchmark's hooks and calls must fit the library as it is.
 
 ``bench/spans.py`` wraps library functions by module and name when the
-benchmark runs with ``--trace 1``.  A rename or deletion in ``src/`` would
-only show there; these tests catch it in the suite instead.
+benchmark runs with ``--trace 1``, and ``bench/workloads.py`` calls library
+functions directly.  A rename, a deletion or a signature change in ``src/``
+would only show there; these tests catch it in the suite instead.
 """
 
+import ast
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
-SPANS_PATH = pathlib.Path(__file__).parent.parent / "bench" / "spans.py"
+import indexcast
+from indexcast import cli, evaluate
+
+BENCH_DIR = pathlib.Path(__file__).parent.parent / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
 
 
 def _load_spans():
@@ -34,3 +41,40 @@ def test_every_traced_target_is_a_callable(module_name, fn_name):
 def test_every_traced_optimizer_module_has_minimize(module_name):
     module = importlib.import_module(f"indexcast.{module_name}")
     assert callable(getattr(module, "minimize", None))
+
+
+# every direct library call in bench/workloads.py, with its argument shape;
+# the strings stand in for the series, months and windows it passes
+WORKLOAD_CALLS = {
+    "evaluate.run_fixed_origin": (evaluate.run_fixed_origin,
+                                  ("series", "arima", "T", 12), {}),
+    "evaluate.run_rolling": (evaluate.run_rolling,
+                             ("series", "engine", "a", "b"), {"workers": 1}),
+    "evaluate.run_trend_seasonal": (evaluate.run_trend_seasonal,
+                                    ("series", "T"), {}),
+    "evaluate.structural_stability": (evaluate.structural_stability,
+                                      ("series", "wa", "wb"), {}),
+    "evaluate.compare_hypotheses": (evaluate.compare_hypotheses, ("a", "b"), {}),
+    "indexcast.read_values_file": (indexcast.read_values_file,
+                                   ("path", "start"), {}),
+    "indexcast.make_series": (indexcast.make_series, ("start", "values"), {}),
+    "indexcast.MonthStamp": (indexcast.MonthStamp, (2010, 1), {}),
+    "cli.main": (cli.main, (["argv"],), {}),
+}
+
+
+def test_every_workload_call_has_a_shape():
+    tree = ast.parse((BENCH_DIR / "workloads.py").read_text(encoding="utf-8"))
+    called = {f"{node.func.value.id}.{node.func.attr}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("indexcast", "evaluate", "cli")}
+    assert called == set(WORKLOAD_CALLS)
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_CALLS))
+def test_workload_call_binds_to_the_signature(name):
+    fn, args, kwargs = WORKLOAD_CALLS[name]
+    inspect.signature(fn).bind(*args, **kwargs)

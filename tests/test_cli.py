@@ -109,6 +109,35 @@ class TestIngest:
             main(["ingest", "--input", CD])
         assert exc.value.code == 2
 
+    def test_missing_start_message_names_both_ways(self, capsys):
+        # the fixture's comments name the month in words only
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--input", CD])
+        assert exc.value.code == 2
+        assert (f"{CD} names no start month; give --start YYYY-MM or a "
+                "'# start YYYY-MM' line") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["ingest", "--input", CD, "--start", "2010-13"], "--start"),
+        (["forecast", "--input", CD, "--start", "2010-01", "--method", "I",
+          "--train-end", "x"], "--train-end"),
+        (["stability", "--input", CD, "--start", "2010-01",
+          "--window-a", "2010-01"], "--window-a"),
+    ], ids=["start", "train_end", "window_a"])
+    def test_bad_month_is_usage_error_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+
+    def test_empty_daily_csv_is_data_error(self, capsys, tmp_path):
+        empty = tmp_path / "daily.csv"
+        empty.write_bytes(b"")
+        code, out, err = run_cli(capsys, "ingest", "--input", str(empty),
+                                 "--format", "daily_csv")
+        assert (code, out) == (3, "")
+        assert err == f"data error: {empty} is empty\n"
+
     def test_output_format_is_usage_error(self, capsys):
         # ingest writes a values file, not a table
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +301,17 @@ class TestStability:
         else:
             assert len(list(csv.reader(io.StringIO(out)))) == 2  # one row
 
+    def test_ingested_file_gives_its_own_start_month(self, capsys, tmp_path):
+        # ingest writes a '# start' line, so its output needs no --start
+        values = tmp_path / "cd.txt"
+        code, *_ = run_cli(capsys, "ingest", "--input", CD, "--start", "2010-01",
+                           "--out", str(values), "--precision", "full")
+        assert code == 0
+        argv = ["stability", "--output-format", "csv", "--precision", "full"]
+        code, out, _ = run_cli(capsys, *argv, "--input", str(values))
+        assert code == 0
+        assert out.encode("utf-8") == (SNAPSHOT_DIR / "stability_CD.csv").read_bytes()
+
     def test_no_overlap_is_computation_error(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--input", CD,
                                "--start", "2010-01",
@@ -324,6 +364,32 @@ class TestCompare:
                                      "--start", "2010-01")
             assert (code, out) == (4, "")
             assert err.startswith("computation error: seasonal indices")
+
+    def test_each_input_takes_its_start_month_from_its_own_line(
+            self, capsys, tmp_path, cd_series, sc_series):
+        # a daily CSV needs no month, and the second input's values file
+        # names its own (here a year later than the first input's)
+        daily = tmp_path / "daily.csv"
+        daily.write_text("date,value\n" + "".join(
+            f"{2010 + t // 12}-{t % 12 + 1:02d}-01,{v}\n"
+            for t, v in enumerate(sc_series.values)))
+        shifted = tmp_path / "cd.txt"
+        write_values_file(shifted, make_series("2011-01", cd_series.values))
+        code, out, _ = run_cli(capsys, "compare", "--input", str(daily),
+                               "--format", "daily_csv", "--input2", str(shifted),
+                               "--format2", "values", "--precision", "full")
+        assert code == 0
+        _, expected, _ = run_cli(capsys, "compare", "--input", SC,
+                                 "--input2", CD, "--start", "2010-01",
+                                 "--start2", "2011-01", "--precision", "full")
+        assert out == expected
+        # without its line, the second input's month is missing
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join(f"{v!r}\n" for v in cd_series.values))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--input", str(shifted), "--input2", str(bare)])
+        assert exc.value.code == 2
+        assert f"{bare} names no start month" in capsys.readouterr().err
 
     def test_same_file_twice_gives_false_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--input", CD,

@@ -3,7 +3,8 @@ import pytest
 
 from golden_tables import CD_METHOD_I, CD_METHOD_III, SC_METHOD_III
 from indexcast import (InsufficientDataError, MonthStamp, NoOverlapError,
-                       SeriesTooShortError, absolute_percentage_error,
+                       OutOfRangeError, SeriesTooShortError,
+                       absolute_percentage_error,
                        compare_hypotheses, component_percentage,
                        decompose_additive, make_series, run_fixed_origin,
                        run_method, run_rolling, run_trend_seasonal,
@@ -127,6 +128,12 @@ class TestRolling:
         short = run_rolling(series, "arima", MonthStamp(2012, 5), MonthStamp(2012, 6))
         assert long.rows[:2] == short.rows
 
+    def test_reversed_window_is_out_of_range(self, cd_series):
+        with pytest.raises(OutOfRangeError, match="empty evaluation window "
+                                                  "2015-06..2015-05"):
+            run_rolling(cd_series, "holt_winters", MonthStamp(2015, 6),
+                        MonthStamp(2015, 5))
+
     def test_workers_other_than_one_raise_before_any_fit(self, cd_series,
                                                          monkeypatch):
         # every refit runs in the calling process; a caller asking for a
@@ -222,9 +229,46 @@ class TestRunMethod:
         assert calls == [(cd_series, *args)]
 
 
+    @pytest.mark.parametrize("method_id, horizon", [("I", 12), ("III", 12),
+                                                    ("I", 6)])
+    def test_default_train_end_is_horizon_months_before_the_end(
+            self, cd_series, sc_series, method_id, horizon):
+        given = {} if horizon == 12 else {"horizon": horizon}
+        for series in (cd_series, sc_series):
+            assert run_method(series, method_id, **given) == run_method(
+                series, method_id, series.end.offset(-horizon), horizon)
+
+
 class TestStructuralStability:
     WINDOW_A = (MonthStamp(2010, 1), MonthStamp(2014, 12))
     WINDOW_B = (MonthStamp(2011, 1), MonthStamp(2015, 12))
+
+    def test_default_windows_drop_the_last_and_the_first_year(self, cd_series,
+                                                              sc_series):
+        for series in (cd_series, sc_series):
+            assert structural_stability(series) == structural_stability(
+                series, self.WINDOW_A, self.WINDOW_B)
+
+    def test_one_window_given_leaves_the_other_at_its_default(self, cd_series,
+                                                              sc_series):
+        shorter_a = (MonthStamp(2010, 1), MonthStamp(2013, 12))
+        shorter_b = (MonthStamp(2012, 1), MonthStamp(2015, 12))
+        for series in (cd_series, sc_series):
+            assert structural_stability(series, shorter_a) == (
+                structural_stability(series, shorter_a, self.WINDOW_B))
+            assert structural_stability(series, window_b=shorter_b) == (
+                structural_stability(series, self.WINDOW_A, shorter_b))
+
+    def test_default_windows_need_37_months(self, cd_series):
+        short = make_series("2010-01", cd_series.values[:36])
+        with pytest.raises(SeriesTooShortError, match="^the default windows "
+                           "need at least 37 months, got 36$"):
+            structural_stability(short)
+        # with a window given, the windows themselves decide
+        with pytest.raises(NoOverlapError):
+            structural_stability(short, (MonthStamp(2010, 1), MonthStamp(2011, 12)))
+        rows = structural_stability(make_series("2010-01", cd_series.values[:37]))
+        assert [row.month for row in rows] == [MonthStamp(2011, 7)]
 
     def test_published_anchors(self, cd_series, sc_series):
         rows = structural_stability(cd_series, self.WINDOW_A, self.WINDOW_B)

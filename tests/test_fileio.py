@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexcast import (DataError, EmptyInputError, GapInSeriesError,
-                       MonthStamp, ParseError, make_series, read_daily_csv,
-                       read_values_file, write_values_file)
+                       MissingStartError, MonthStamp, ParseError, make_series,
+                       read_daily_csv, read_values_file, write_values_file)
 
 
 class TestValuesFormat:
@@ -59,6 +59,24 @@ class TestValuesFormat:
         with pytest.raises(DataError, match=":1:"):
             read_values_file(path, MonthStamp(2010, 2))
 
+    def test_start_header_gives_the_month_when_none_is_given(self, tmp_path):
+        path = tmp_path / "values.txt"
+        series = make_series("2011-07", [100.0, 200.0])
+        write_values_file(path, series)
+        assert read_values_file(path) == series
+
+    def test_no_start_and_no_header_is_missing_start(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("# start here\n100\n200\n")
+        with pytest.raises(MissingStartError, match="names no start month"):
+            read_values_file(path)
+
+    def test_later_header_must_name_the_first_headers_month(self, tmp_path):
+        path = tmp_path / "values.txt"
+        path.write_text("# start 2010-01\n100\n# start 2010-02\n200\n")
+        with pytest.raises(DataError, match=":3:.*conflicts with start month 2010-01"):
+            read_values_file(path)
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "values.txt"
         path.write_text("100\n200\noops\n")
@@ -108,6 +126,24 @@ class TestDailyCsv:
         with pytest.raises(error, match=message) as exc:
             read_daily_csv(path)
         assert getattr(exc.value, "line_number", None) == line_number
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_bytes(b"")
+        with pytest.raises(EmptyInputError, match="is empty"):
+            read_daily_csv(path)
+
+    def test_blank_row_in_the_middle_is_skipped(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n2010-01-04,1\n\n   \n2010-01-05,3\n")
+        assert read_daily_csv(path).values == (2.0,)
+
+    def test_one_column_row_names_its_line(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n2010-01-04,1\n2010-01-05\n")
+        with pytest.raises(ParseError, match="expected 2 columns") as exc:
+            read_daily_csv(path)
+        assert exc.value.line_number == 3
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "daily.csv"

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import pytest
 
@@ -111,3 +112,22 @@ class TestSvgChart:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             render_chart([])
+
+    @pytest.mark.parametrize("values", [(None, None), ()], ids=["undefined", "empty"])
+    def test_panel_without_a_defined_value_is_named(self, values):
+        panels = [Panel("ok", (Line("a", (1.0, 2.0)),)),
+                  Panel("p", (Line("a", values),))]
+        with pytest.raises(ValueError, match="^panel 'p' has no defined value$"):
+            render_chart(panels)
+
+    def test_constant_line_is_padded_around_its_value(self):
+        chart = render_chart([Panel("c", (Line("c", (5.0, 5.0, 5.0)),))])
+        # the axis spans 5 -/+ 1, padded by 5%: labels 4, 5 and 6, and the
+        # line runs through the middle of the panel (y 52..210)
+        assert re.findall(r'text-anchor="end"[^>]*>(-?\d+)<', chart) == ["4", "5", "6"]
+        assert 'points="72.00,131.00 464.00,131.00 856.00,131.00"' in chart
+
+    def test_one_point_is_centred(self):
+        chart = render_chart([Panel("one", (Line("one", (7.0,)),))], ["2010-01"])
+        assert '<circle cx="464.00" cy="131.00"' in chart
+        assert re.search(r'<text x="464.00" [^>]*>2010-01</text>', chart)
