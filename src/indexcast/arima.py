@@ -18,13 +18,18 @@ is not finite, or whose AR or MA polynomial has a root on or inside the
 unit circle (not stationary or not invertible), score +inf; the winner is
 returned as fitted.  Forecasts iterate the ARMA recursion on the
 differenced scale with future innovations set to zero, then re-integrate
-from the retained training tail.
+from the retained training tail.  The CSS residuals' MA recursion runs in
+scipy's C IIR filter, which is loaded without the rest of ``scipy.signal``
+(``_load_linear_filter``); scipy is needed for this routine alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -142,6 +147,36 @@ def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float,
     return tuple(float(v) for v in out)
 
 
+@cache
+def _load_linear_filter():
+    """scipy's C IIR filter, ``scipy.signal._sigtools._linear_filter``.
+
+    The extension is found and loaded the way ``import`` would, but without
+    running ``scipy/signal/__init__.py``: that imports all of scipy.signal,
+    scipy.optimize and scipy.stats, about 1.3 s and 70 MB, for this one
+    routine.  The module is registered under its own name, as ``import``
+    does, so a later ``import scipy.signal`` uses this same module; that
+    package then lacks a ``_sigtools`` attribute, but ``from . import
+    _sigtools``, the form scipy itself uses, finds the module.  Called at
+    the first fit, not at import, so ``import indexcast.cli`` loads no scipy.
+    """
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "signal")
+                   for d in scipy.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"ARIMA fits need scipy: {name} was not found")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module._linear_filter
+
+
 def _css_residuals(w: np.ndarray, p: int, q: int):
     """CSS residuals e_t, t = p..len(w)-1, as a function of (ar, ma).
 
@@ -154,10 +189,8 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
     # routine lfilter ends in: for 1-D float64 x, len(a) > 1 and no zi,
     # lfilter only checks its arguments before this same call, and those
     # checks cost about as much as the filter itself.  TestCssObjective
-    # pins the two bit for bit (scipy 1.17.1).  Imported here, not at the
-    # top: only ARIMA fits need scipy, and scipy.signal imports
-    # scipy.optimize and scipy.stats, so `import indexcast.cli` loads none.
-    from scipy.signal._sigtools import _linear_filter
+    # pins the two bit for bit (scipy 1.17.1).
+    linear_filter = _load_linear_filter()
 
     n = len(w)
     head = w[p:]
@@ -171,7 +204,7 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
             x = x - a * lag
         if q:
             denominator[1:] = ma
-            return _linear_filter(numerator, denominator, x, -1)
+            return linear_filter(numerator, denominator, x, -1)
         return x
 
     return residuals

@@ -37,11 +37,12 @@ def _window(parser, text, flag):
     return (_month(parser, parts[0], flag), _month(parser, parts[1], flag))
 
 
-def _load_series(parser, path, fmt, start_text) -> MonthlyTimeSeries:
+def _load_series(parser, path, fmt, start_text,
+                 flag="--start") -> MonthlyTimeSeries:
     if fmt == "daily_csv":
         return read_daily_csv(path)
     return read_values_file(
-        path, _month(parser, start_text, "--start") if start_text else None)
+        path, _month(parser, start_text, flag) if start_text else None)
 
 
 def _write_output(args, text):
@@ -105,7 +106,8 @@ def cmd_stability(args, parser):
 def cmd_compare(args, parser):
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
-                            args.start2 or args.start)
+                            args.start2 or args.start,
+                            "--start2" if args.start2 else "--start")
     if args.plot and series_1.months() != series_2.months():
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)

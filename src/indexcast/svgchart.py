@@ -55,7 +55,8 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
     """Render stacked line-chart panels to an SVG document string."""
     if not panels:
         raise ValueError("no panels to render")
-    n_points = max(len(line.values) for panel in panels for line in panel.lines)
+    n_points = max((len(line.values) for panel in panels for line in panel.lines),
+                   default=0)  # no line value at all: the first panel raises below
     height = MARGIN_TOP + PANEL_HEIGHT * len(panels) + MARGIN_BOTTOM
     plot_left = MARGIN_LEFT
     plot_right = WIDTH - MARGIN_RIGHT

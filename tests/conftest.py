@@ -1,5 +1,7 @@
+import os
 import pathlib
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -17,6 +19,19 @@ TRAIN_END = MonthStamp(2014, 12)
 
 # one line per acceptance check, shown by pytest_terminal_summary
 ACCEPTANCE_LOG = []
+
+
+def fresh_python(script, *args):
+    """Run `script` with `python -c` in a new interpreter, indexcast on its path.
+
+    Checks of what a process imports need one: in the pytest process,
+    other tests have imported scipy already.
+    """
+    src = str(DATA_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def pytest_configure(config):

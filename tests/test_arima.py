@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import DATA_DIR, fresh_python
 from indexcast import _simplex, arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
                        SelectionFailedError, SeriesTooShortError,
@@ -137,6 +138,61 @@ class TestCssObjective:
             e = arima._css_residuals(huge, 2, 2)([COEF_BOUND, COEF_BOUND],
                                                  [-COEF_BOUND, COEF_BOUND])
         assert np.isinf(e).any() and np.isnan(e).any()
+
+
+# fits the CD training window in a fresh interpreter, so that no earlier
+# test has loaded scipy or filled the loader's cache
+_FIT_CD = """
+from indexcast import MonthStamp, read_values_file, select_order, slice_window
+cd = read_values_file({cd!r}, MonthStamp(2010, 1))
+select_order(slice_window(cd, MonthStamp(2010, 1), MonthStamp(2014, 12)))
+""".format(cd=str(DATA_DIR / "consumer_durables_monthly.txt"))
+
+
+class TestFilterLoading:
+    def test_selection_imports_none_of_scipy_signal(self):
+        script = _FIT_CD + """
+import sys
+loaded = [m for m in ("scipy.signal", "scipy.optimize", "scipy.stats")
+          if m in sys.modules]
+assert "scipy.signal._sigtools" in sys.modules
+sys.exit(f"imported {loaded}" if loaded else 0)
+"""
+        done = fresh_python(script)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("fit_first", [True, False],
+                             ids=["fit_first", "scipy_signal_first"])
+    def test_loader_and_scipy_signal_share_one_filter(self, fit_first):
+        # if scipy moves _linear_filter or _sigtools stops loading on its
+        # own, this fails here rather than as a slower or different fit
+        imports = """
+import scipy.signal
+from scipy.signal import _sigtools
+"""
+        script = (_FIT_CD + imports if fit_first else imports + _FIT_CD) + """
+from indexcast import arima
+assert arima._load_linear_filter() is _sigtools._linear_filter
+assert scipy.signal.lfilter([1.0], [1.0, 0.5], [1.0, 2.0]).tolist() == [1.0, 1.5]
+"""
+        done = fresh_python(script)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    @pytest.mark.parametrize("finder", ["importlib.util",
+                                        "importlib.machinery.PathFinder"])
+    def test_missing_scipy_is_an_import_error(self, finder):
+        # find_spec returning None is how a missing scipy, or a scipy
+        # without the extension, shows
+        script = f"""
+import importlib.machinery, importlib.util
+real = {finder}.find_spec
+{finder}.find_spec = lambda name, *args: (
+    None if name.startswith("scipy") else real(name, *args))
+""" + _FIT_CD
+        done = fresh_python(script)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "ImportError: ARIMA fits need scipy: scipy.signal._sigtools was not found")
 
 
 class TestFit:

@@ -1,9 +1,6 @@
 import contextlib
 import csv
 import io
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, fresh_python
 from indexcast import make_series, write_values_file
 from indexcast.cli import main
 from indexcast.evaluate import METHODS
@@ -22,14 +19,28 @@ SC = str(DATA_DIR / "small_cap_monthly.txt")
 
 
 def test_import_leaves_scipy_out():
-    # scipy.signal imports scipy.optimize and scipy.stats; only an ARIMA fit
-    # needs it, so a CLI call that fits no ARIMA model must not pay for it
-    src = str(DATA_DIR.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # only an ARIMA fit needs scipy, so a CLI call that fits no ARIMA model
+    # must not pay for it
     check = "import sys, indexcast.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", check], env=env,
-                          timeout=60).returncode == 0
+    assert fresh_python(check).returncode == 0
+
+
+def test_arima_forecast_loads_no_scipy_signal():
+    # method IV fits through scipy's C filter alone: the whole run, output
+    # included, never imports scipy.signal (nor scipy.optimize and
+    # scipy.stats, which it would bring)
+    script = ("import sys\n"
+              "from indexcast.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "if 'scipy.signal' in sys.modules:\n"
+              "    sys.exit('scipy.signal was imported')\n"
+              "sys.exit(code)\n")
+    done = fresh_python(script, "forecast", "--method", "IV", "--input", CD,
+                        "--start", "2010-01", "--precision", "full",
+                        "--output-format", "csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    snapshot = SNAPSHOT_DIR / "method_CD_IV.csv"
+    assert done.stdout.encode("utf-8") == snapshot.read_bytes()
 
 
 def run_cli(capsys, *argv):
@@ -390,6 +401,21 @@ class TestCompare:
             main(["compare", "--input", str(shifted), "--input2", str(bare)])
         assert exc.value.code == 2
         assert f"{bare} names no start month" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("starts, flag", [
+        (["--start", "2010-01", "--start2", "2010-13"], "--start2"),
+        (["--start", "2010-13"], "--start"),
+    ], ids=["start2", "start"])
+    def test_bad_start_month_names_its_flag(self, capsys, tmp_path, starts, flag):
+        # the first input is a daily CSV, so only the second reads a month
+        daily = tmp_path / "daily.csv"
+        daily.write_text("date,value\n2010-01-04,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--input", str(daily), "--format", "daily_csv",
+                  "--input2", CD, "--format2", "values", *starts])
+        assert exc.value.code == 2
+        assert (f"error: {flag}: month must be in 1..12, got 13"
+                in capsys.readouterr().err)
 
     def test_same_file_twice_gives_false_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--input", CD,

@@ -113,10 +113,13 @@ class TestSvgChart:
         with pytest.raises(ValueError):
             render_chart([])
 
-    @pytest.mark.parametrize("values", [(None, None), ()], ids=["undefined", "empty"])
-    def test_panel_without_a_defined_value_is_named(self, values):
-        panels = [Panel("ok", (Line("a", (1.0, 2.0)),)),
-                  Panel("p", (Line("a", values),))]
+    @pytest.mark.parametrize("lines", [(Line("a", (None, None)),), (Line("a", ()),), ()],
+                             ids=["undefined", "empty", "no_line"])
+    @pytest.mark.parametrize("alone", [False, True], ids=["after_ok", "alone"])
+    def test_panel_without_a_defined_value_is_named(self, lines, alone):
+        panels = [Panel("p", lines)]
+        if not alone:
+            panels.insert(0, Panel("ok", (Line("a", (1.0, 2.0)),)))
         with pytest.raises(ValueError, match="^panel 'p' has no defined value$"):
             render_chart(panels)
 
