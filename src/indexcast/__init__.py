@@ -8,9 +8,8 @@ evaluation protocols, and deterministic table/SVG rendering.
 
 from types import ModuleType as _ModuleType
 
-from .arima import (ArimaModel, ArimaOrder, TrainTail, choose_difference_order,
-                    css_objective, difference, fit_arima, forecast_arima,
-                    integrate, select_order)
+from .arima import (ArimaModel, ArimaOrder, choose_difference_order,
+                    fit_arima, forecast_arima, integrate, select_order)
 from .decompose import (DecompositionResult, centered_moving_average_trend,
                         component_percentage, decompose_additive,
                         seasonal_indices)

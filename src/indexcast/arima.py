@@ -36,7 +36,7 @@ import numpy as np
 
 from ._simplex import minimize
 from .errors import SelectionFailedError, SeriesTooShortError
-from .series import MonthlyTimeSeries, MonthStamp
+from .series import MonthlyTimeSeries
 
 MAX_P = 5
 MAX_Q = 5
@@ -71,21 +71,6 @@ class ArimaOrder:
 
 
 @dataclass(frozen=True)
-class TrainTail:
-    """State retained from fitting so forecasts can start immediately.
-
-    ``demeaned_diffs`` and ``residuals`` are aligned tails of the
-    d-times-differenced (and mean-removed) training series;
-    ``level_tails[k]`` is the last value of the k-times-differenced series,
-    k = 0..d-1, used to re-integrate forecasts.
-    """
-
-    demeaned_diffs: tuple[float, ...]
-    residuals: tuple[float, ...]
-    level_tails: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ArimaModel:
     """Fitted coefficients, innovation variance, and fit diagnostics.
 
@@ -93,7 +78,11 @@ class ArimaModel:
     before the fit: the sample mean of the differenced series when drift is
     enabled, the sample mean of the series when d = 0, and zero otherwise.
     ``converged`` is False when the simplex stopped at its evaluation cap;
-    a fit with no coefficient to estimate is converged.
+    a fit with no coefficient to estimate is converged.  The training tail
+    starts the forecasts: ``tail_diffs`` and ``tail_residuals`` are aligned
+    tails of the d-times-differenced, mean-removed series and its CSS
+    residuals; ``level_tails[k]`` is the last value of the k-times-differenced
+    series, k = 0..d-1, used to re-integrate forecasts.
     """
 
     order: ArimaOrder
@@ -103,8 +92,9 @@ class ArimaModel:
     sigma2: float
     css: float
     aicc: float
-    train_tail: TrainTail
-    train_span: tuple[MonthStamp, MonthStamp]
+    tail_diffs: tuple[float, ...]
+    tail_residuals: tuple[float, ...]
+    level_tails: tuple[float, ...]
     converged: bool = True
 
     def summary(self) -> str:
@@ -118,19 +108,6 @@ class ArimaModel:
             f"aicc={self.aicc!r}",
         ]
         return "\n".join(lines)
-
-
-def difference(values: Sequence[float], d: int) -> tuple[float, ...]:
-    """Apply first differencing d times; output shrinks by d."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    if len(values) <= d:
-        raise SeriesTooShortError(
-            f"cannot difference {len(values)} values {d} times")
-    out = np.asarray(values, dtype=float)
-    if d:
-        out = np.diff(out, n=d)
-    return tuple(float(v) for v in out)
 
 
 def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float, ...]:
@@ -188,7 +165,7 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
     # The MA recursion is lfilter([1.0], [1, ma], x), called as the C
     # routine lfilter ends in: for 1-D float64 x, len(a) > 1 and no zi,
     # lfilter only checks its arguments before this same call, and those
-    # checks cost about as much as the filter itself.  TestCssObjective
+    # checks cost about as much as the filter itself.  TestCssResiduals
     # pins the two bit for bit (scipy 1.17.1).
     linear_filter = _load_linear_filter()
 
@@ -208,25 +185,6 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
         return x
 
     return residuals
-
-
-def css_objective(diffed: Sequence[float], order: ArimaOrder,
-                  ar: Sequence[float], ma: Sequence[float], mu: float) -> float:
-    """Conditional sum of squared residuals of an ARMA(p,q) on `diffed` - mu.
-
-    Raises ``SeriesTooShortError`` when `diffed` has no more than p values,
-    which leaves no residual to sum.
-    """
-    if len(ar) != order.p or len(ma) != order.q:
-        raise ValueError(f"coefficient lengths {len(ar)},{len(ma)} do not "
-                         f"match order ({order.p},{order.d},{order.q})")
-    if len(diffed) <= order.p:
-        raise SeriesTooShortError(
-            f"{len(diffed)} values leave no CSS residual for p = {order.p}")
-    e = _css_residuals(np.asarray(diffed, dtype=float) - mu, order.p,
-                       order.q)(np.asarray(ar, dtype=float),
-                                np.asarray(ma, dtype=float))
-    return float(e @ e)
 
 
 def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
@@ -286,11 +244,6 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
 
     # the length check leaves len(resid) = n - d - p >= 10 + q >= tail_len
     tail_len = max(p, q, 1)
-    tail = TrainTail(
-        demeaned_diffs=tuple(float(v) for v in w[-tail_len:]),
-        residuals=tuple(float(v) for v in resid[-tail_len:]),
-        level_tails=tuple(level_tails),
-    )
     return ArimaModel(order=order,
                       ar_coeffs=tuple(float(v) for v in ar),
                       ma_coeffs=tuple(float(v) for v in ma),
@@ -298,8 +251,9 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
                       sigma2=sigma2,
                       css=css,
                       aicc=aicc,
-                      train_tail=tail,
-                      train_span=(series.start, series.end),
+                      tail_diffs=tuple(float(v) for v in w[-tail_len:]),
+                      tail_residuals=tuple(float(v) for v in resid[-tail_len:]),
+                      level_tails=tuple(level_tails),
                       converged=converged)
 
 
@@ -405,8 +359,8 @@ def forecast_arima(model: ArimaModel, horizon: int) -> tuple[float, ...]:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     p, q = model.order.p, model.order.q
-    z = list(model.train_tail.demeaned_diffs)
-    resid = list(model.train_tail.residuals)
+    z = list(model.tail_diffs)
+    resid = list(model.tail_residuals)
     diff_fc = []
     for _ in range(horizon):
         acc = 0.0
@@ -417,4 +371,4 @@ def forecast_arima(model: ArimaModel, horizon: int) -> tuple[float, ...]:
         z.append(acc)
         resid.append(0.0)
         diff_fc.append(acc + model.drift_value)
-    return integrate(diff_fc, model.train_tail.level_tails)
+    return integrate(diff_fc, model.level_tails)

@@ -3,7 +3,9 @@
 Subcommands: ``ingest`` (daily CSV or values file to a monthly values
 file), ``decompose``, ``forecast`` (methods I-V), ``stability`` (two-window
 comparison), and ``compare`` (two-series hypothesis check).  Exit codes:
-0 success, 2 usage error, 3 data error, 4 computation error.
+0 success, 2 usage error, 3 data error, 4 computation error (also when an
+ARIMA method runs without scipy: one ``computation error: ARIMA fits need
+scipy: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ def _load_series(parser, path, fmt, start_text,
                  flag="--start") -> MonthlyTimeSeries:
     if fmt == "daily_csv":
         return read_daily_csv(path)
-    return read_values_file(
-        path, _month(parser, start_text, flag) if start_text else None)
+    try:
+        return read_values_file(
+            path, _month(parser, start_text, flag) if start_text else None)
+    except MissingStartError as exc:
+        parser.error(f"{exc}; give {flag} YYYY-MM or a '# start YYYY-MM' line")
 
 
 def _write_output(args, text):
@@ -107,7 +112,8 @@ def cmd_compare(args, parser):
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
                             args.start2 or args.start,
-                            "--start2" if args.start2 else "--start")
+                            "--start" if args.start and not args.start2
+                            else "--start2")
     if args.plot and series_1.months() != series_2.months():
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
@@ -183,15 +189,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except MissingStartError as exc:
-        parser.error(f"{exc}; give --start YYYY-MM or a '# start YYYY-MM' line")
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
-    except (ComputationError, ZeroDivisionError, ValueError) as exc:
+    # an ImportError can only come from an ARIMA fit loading scipy's filter
+    except (ComputationError, ZeroDivisionError, ValueError,
+            ImportError) as exc:
         sys.stderr.write(f"computation error: {exc}\n")
         return 4
 

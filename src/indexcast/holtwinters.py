@@ -137,7 +137,12 @@ def _state_of(series: MonthlyTimeSeries):
 
 
 def one_step_sse(series: MonthlyTimeSeries, params: HoltWintersParams) -> float:
-    """Sum of squared one-step errors over observations 25..n."""
+    """Sum of squared one-step errors over observations 25..n.
+
+    Public because it scores any constants from what a user holds, a series
+    and ``HoltWintersParams``, not only fitted ones; it also defines
+    ``HoltWintersModel.sse``, which is this sum at the model's ``params``.
+    """
     sse, *_ = _run_filter(*_state_of(series),
                           params.alpha, params.beta, params.gamma)
     return sse

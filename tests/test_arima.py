@@ -10,9 +10,8 @@ from conftest import DATA_DIR, fresh_python
 from indexcast import _simplex, arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
                        SelectionFailedError, SeriesTooShortError,
-                       choose_difference_order, css_objective, difference,
-                       fit_arima, forecast_arima, integrate, make_series,
-                       select_order, slice_window)
+                       choose_difference_order, fit_arima, forecast_arima,
+                       integrate, make_series, select_order, slice_window)
 from indexcast.arima import COEF_BOUND, MAX_P, MAX_Q
 
 
@@ -27,23 +26,12 @@ class TestOrder:
             ArimaOrder(0, 0, 1, drift=True)
 
 
-class TestDifference:
-    def test_first_and_second(self):
-        assert difference((1, 3, 6, 10), 1) == (2.0, 3.0, 4.0)
-        assert difference((1, 3, 6, 10), 2) == (1.0, 1.0)
-
-    def test_identity(self):
-        assert difference((5, 1, 4), 0) == (5.0, 1.0, 4.0)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
-            difference((1.0, 2.0), 2)
-
+class TestIntegrate:
     def test_integration_round_trip(self):
         rng = np.random.default_rng(5)
         x = list(rng.normal(0, 10, 40))
         for d in (1, 2):
-            diffed = difference(x, d)
+            diffed = np.diff(x, n=d)
             # anchors: most recent value of each differencing level at the
             # point the deltas begin
             anchors = [np.diff(x, n=k)[d - 1 - k] for k in range(d)]
@@ -51,49 +39,57 @@ class TestDifference:
             assert np.allclose(rebuilt, x[d:], atol=1e-12)
 
 
-class TestCssObjective:
+def _css(w, p, q, ar, ma):
+    """The CSS sum the fit minimizes, on the mean-removed series w."""
+    e = arima._css_residuals(np.asarray(w, dtype=float), p, q)(ar, ma)
+    return float(e @ e)
+
+
+class TestCssResiduals:
     def test_exact_ar1_recursion(self):
         z = [1.0]
         for _ in range(30):
             z.append(0.5 * z[-1])
-        order = ArimaOrder(1, 0, 0)
-        assert css_objective(z, order, [0.5], [], 0.0) == pytest.approx(0.0, abs=1e-20)
+        assert _css(z, 1, 0, [0.5], []) == pytest.approx(0.0, abs=1e-20)
 
     def test_white_noise_is_centered_sum_of_squares(self):
         rng = np.random.default_rng(1)
         z = rng.normal(3, 2, 40)
-        order = ArimaOrder(0, 0, 0)
         expected = float(((z - z.mean()) ** 2).sum())
-        assert css_objective(z, order, [], [], float(z.mean())) == pytest.approx(expected, rel=1e-12)
+        assert _css(z - z.mean(), 0, 0, [], []) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        z = list(rng.normal(0, 5, 50))
-        assert css_objective(z, ArimaOrder(1, 0, 1), [0.3], [0.2], 0.0) == \
+        z = rng.normal(0, 5, 50)
+        assert _css(z, 1, 1, [0.3], [0.2]) == \
             pytest.approx(oracles.css(z, 1, 1, [0.3], [0.2], 0.0), rel=1e-9)
         for _ in range(20):
             p, q = int(rng.integers(0, 6)), int(rng.integers(0, 6))
             ar = list(rng.uniform(-0.7, 0.7, p))
             ma = list(rng.uniform(-0.7, 0.7, q))
             mu = float(rng.normal())
-            ours = css_objective(z, ArimaOrder(p, 0, q), ar, ma, mu)
+            ours = _css(z - mu, p, q, ar, ma)
             assert ours == pytest.approx(oracles.css(z, p, q, ar, ma, mu),
                                          rel=1e-9, abs=1e-9)
 
-    def test_coefficient_length_mismatch(self):
-        with pytest.raises(ValueError):
-            css_objective([1.0, 2.0], ArimaOrder(1, 0, 0), [], [], 0.0)
-
-    @pytest.mark.parametrize("diffed, order, ar, ma", [
-        ([1.0], ArimaOrder(1, 0, 0), [0.5], []),
-        ([1.0, 2.0], ArimaOrder(2, 0, 1), [0.5, -0.2], [0.3]),
-        ([], ArimaOrder(0, 0, 1), [], [0.3]),
-    ], ids=["p1-one-value", "p2-two-values", "empty"])
-    def test_no_residual_is_too_short(self, diffed, order, ar, ma):
-        # p pre-sample lags or more leave nothing to sum, which is not a
-        # perfect fit
-        with pytest.raises(SeriesTooShortError):
-            css_objective(diffed, order, ar, ma, 0.0)
+    @pytest.mark.parametrize("order", [
+        ArimaOrder(2, 0, 1), ArimaOrder(1, 1, 2), ArimaOrder(2, 1, 1, drift=True),
+        ArimaOrder(0, 1, 0, drift=True), ArimaOrder(1, 2, 1),
+    ], ids=["d0", "d1", "d1_drift", "d1_drift_no_coefficients", "d2"])
+    def test_fit_css_matches_loop_oracle(self, sc_series, order):
+        # the fit removes the mean (d = 0) or the drift, differences d
+        # times and sums the squared residuals at its coefficients: the
+        # oracle redoes all of it with loops from the raw series
+        train = slice_window(sc_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
+        model = fit_arima(train, order)
+        diffed = list(train.values)
+        for _ in range(order.d):
+            diffed = [b - a for a, b in zip(diffed, diffed[1:])]
+        mu = sum(diffed) / len(diffed) if order.d == 0 or order.drift else 0.0
+        assert model.drift_value == pytest.approx(mu, rel=1e-12, abs=1e-12)
+        want = oracles.css(diffed, order.p, order.q, list(model.ar_coeffs),
+                           list(model.ma_coeffs), mu)
+        assert model.css == pytest.approx(want, rel=1e-9)
 
     def test_residuals_match_lfilter_bit_for_bit(self, cd_series):
         # _css_residuals calls the C routine that lfilter ends in; the public
@@ -220,10 +216,9 @@ class TestFit:
         # css of the (p+1, q) model at the padded optimum of the (p, q)
         # model drops one squared residual, so the refit minimum is no worse
         train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-        diffed = difference(train.values, 1)
+        diffed = np.diff(train.values)
         small = fit_arima(train, ArimaOrder(1, 1, 0))
-        padded = css_objective(diffed, ArimaOrder(2, 1, 0),
-                               list(small.ar_coeffs) + [0.0], [], 0.0)
+        padded = _css(diffed, 2, 0, list(small.ar_coeffs) + [0.0], [])
         assert padded <= small.css + 1e-9
         big = fit_arima(train, ArimaOrder(2, 1, 0))
         assert big.css <= padded + 1e-6 * padded
@@ -502,11 +497,10 @@ class TestForecast:
     def test_ar1_hand_recursion(self):
         # phi=0.5, last difference 8, last level 1000: differences forecast
         # (4, 2, 1, ...), levels (1004, 1006, 1007, ...)
-        from indexcast import ArimaModel, TrainTail
-        tail = TrainTail(demeaned_diffs=(8.0,), residuals=(0.0,),
-                         level_tails=(1000.0,))
+        from indexcast import ArimaModel
         model = ArimaModel(ArimaOrder(1, 1, 0), (0.5,), (), 0.0, 1.0, 1.0, 0.0,
-                           tail, (MonthStamp(2010, 1), MonthStamp(2012, 12)))
+                           tail_diffs=(8.0,), tail_residuals=(0.0,),
+                           level_tails=(1000.0,))
         fc = forecast_arima(model, 3)
         assert fc == pytest.approx((1004.0, 1006.0, 1007.0))
         sim = oracles.arma_forecast_on_diffs([8.0], [0.0], 1, 0, [0.5], [], 3)
@@ -525,8 +519,8 @@ class TestForecast:
         model = fit_arima(train, ArimaOrder(2, 1, 2, drift=True))
         fc = forecast_arima(model, 6)
         sim = oracles.arma_forecast_on_diffs(
-            list(model.train_tail.demeaned_diffs),
-            list(model.train_tail.residuals),
+            list(model.tail_diffs),
+            list(model.tail_residuals),
             2, 2, list(model.ar_coeffs), list(model.ma_coeffs), 6)
         levels = np.cumsum(np.array(sim) + model.drift_value) + train.values[-1]
         assert np.allclose(fc, levels, atol=1e-9)

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import importlib.util
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, fresh_python
-from indexcast import make_series, write_values_file
+from indexcast import arima, make_series, write_values_file
 from indexcast.cli import main
 from indexcast.evaluate import METHODS
 from snapshots.regenerate import SNAPSHOT_DIR
@@ -248,6 +250,23 @@ class TestForecast:
         assert err.startswith("computation error")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["IV", "V"])
+    def test_missing_scipy_is_computation_error(self, method, capsys,
+                                                monkeypatch):
+        # the loader, uncached, finds no scipy: one error line and exit 4,
+        # not a traceback
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+            None if name.startswith("scipy") else find_spec(name, *args)))
+        monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+        monkeypatch.setattr(arima, "_load_linear_filter",
+                            arima._load_linear_filter.__wrapped__)
+        code, out, err = run_cli(capsys, "forecast", "--method", method,
+                                 "--input", CD, "--start", "2010-01")
+        assert (code, out) == (4, "")
+        assert err == ("computation error: ARIMA fits need scipy: "
+                       "scipy.signal._sigtools was not found\n")
+
     @pytest.mark.parametrize("method", list(METHODS))
     @pytest.mark.parametrize("sector, path", [("CD", CD), ("SC", SC)])
     def test_full_precision_csv_matches_snapshot(self, sector, path, method,
@@ -397,10 +416,13 @@ class TestCompare:
         # without its line, the second input's month is missing
         bare = tmp_path / "bare.txt"
         bare.write_text("".join(f"{v!r}\n" for v in cd_series.values))
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--input", str(shifted), "--input2", str(bare)])
-        assert exc.value.code == 2
-        assert f"{bare} names no start month" in capsys.readouterr().err
+        for first, second, flag in ((shifted, bare, "--start2"),
+                                    (bare, shifted, "--start")):
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", "--input", str(first), "--input2", str(second)])
+            assert exc.value.code == 2
+            assert (f"{bare} names no start month; give {flag} YYYY-MM or a "
+                    "'# start YYYY-MM' line") in capsys.readouterr().err
 
     @pytest.mark.parametrize("starts, flag", [
         (["--start", "2010-01", "--start2", "2010-13"], "--start2"),
