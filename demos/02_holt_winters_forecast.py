@@ -9,8 +9,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from indexcast import (MonthStamp, fit_holt_winters, forecast_hw,
-                       read_values_file, slice_window)
+from indexcast import (MonthStamp, absolute_percentage_error,
+                       fit_holt_winters, forecast_hw, read_values_file,
+                       slice_window)
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -28,5 +29,5 @@ print("month      actual  forecast   error%")
 for h, forecast in enumerate(forecasts, start=1):
     month = train.end.offset(h)
     actual = series.values[series.index_of(month)]
-    err = abs(forecast - actual) / actual * 100
+    err = absolute_percentage_error(actual, forecast)
     print(f"{month}   {actual:8.0f}  {forecast:8.0f}   {err:6.2f}")

@@ -13,9 +13,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from indexcast import (ArimaOrder, MonthStamp, choose_difference_order,
-                       fit_arima, forecast_arima, read_values_file,
-                       select_order, slice_window)
+from indexcast import (ArimaOrder, MonthStamp, absolute_percentage_error,
+                       choose_difference_order, fit_arima, forecast_arima,
+                       read_values_file, select_order, slice_window)
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
@@ -40,4 +40,4 @@ for h, forecast in enumerate(forecasts, start=1):
     month = train.end.offset(h)
     actual = series.values[series.index_of(month)]
     print(f"{month}   {actual:8.0f}  {forecast:8.0f}   "
-          f"{abs(forecast - actual) / actual * 100:6.2f}")
+          f"{absolute_percentage_error(actual, forecast):6.2f}")

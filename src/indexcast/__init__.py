@@ -10,14 +10,12 @@ from types import ModuleType as _ModuleType
 
 from .arima import (ArimaModel, ArimaOrder, choose_difference_order,
                     fit_arima, forecast_arima, integrate, select_order)
-from .decompose import (DecompositionResult, centered_moving_average_trend,
-                        component_percentage, decompose_additive,
-                        seasonal_indices)
+from .decompose import (DecompositionResult, component_percentage,
+                        decompose_additive)
 from .errors import (ComputationError, DataError, EmptyInputError,
-                     GapInSeriesError, IndexcastError, InsufficientCoverageError,
-                     InsufficientDataError, MissingStartError, NoOverlapError,
-                     OutOfRangeError, ParseError, SelectionFailedError,
-                     SeriesTooShortError)
+                     GapInSeriesError, IndexcastError, InsufficientDataError,
+                     MissingStartError, NoOverlapError, OutOfRangeError,
+                     ParseError, SelectionFailedError, SeriesTooShortError)
 from .evaluate import (ErrorSummary, ForecastRow, HypothesisReport,
                        MethodReport, StabilityRow, absolute_percentage_error,
                        compare_hypotheses, run_fixed_origin, run_method,
@@ -25,8 +23,7 @@ from .evaluate import (ErrorSummary, ForecastRow, HypothesisReport,
                        summarize_errors)
 from .fileio import read_daily_csv, read_values_file, write_values_file
 from .holtwinters import (HoltWintersModel, HoltWintersParams,
-                          fit_holt_winters, forecast_hw, initialize_state,
-                          one_step_sse)
+                          fit_holt_winters, forecast_hw, one_step_sse)
 from .series import (MONTH_ABBR, MonthStamp, MonthlyTimeSeries,
                      aggregate_daily_to_monthly, make_series, slice_window)
 

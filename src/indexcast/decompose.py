@@ -5,7 +5,9 @@ ends), so it is undefined for the first and last six months.  Seasonal
 indices are the calendar-month means of the detrended values, centered to
 sum to zero, and repeat identically every year.  The random component is
 whatever remains, so trend + seasonal + random reconstructs the series
-exactly wherever the trend is defined.
+exactly wherever the trend is defined.  Holt-Winters starts from the same
+trend and indices on a series's first two years; ``holtwinters`` imports
+the two private helpers for that.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ComputationError, InsufficientCoverageError,
-                     SeriesTooShortError)
+from .errors import ComputationError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
 _CMA_WEIGHTS = np.concatenate(([0.5], np.ones(11), [0.5])) / 12.0
@@ -48,25 +49,25 @@ class DecompositionResult:
         return self.seasonal_indices[stamp.month_index]
 
 
-def centered_moving_average_trend(series: MonthlyTimeSeries) -> tuple[float | None, ...]:
-    """2x12 centered moving average, None outside positions 6..n-7."""
-    n = len(series)
-    if n < 13:
-        raise SeriesTooShortError(
-            f"centered moving average needs at least 13 months, got {n}")
+def _cma_trend(series: MonthlyTimeSeries) -> tuple[float | None, ...]:
+    """2x12 centered moving average, None outside positions 6..n-7.
+
+    Callers pass at least 24 months, so twelve or more values are defined.
+    """
     interior = np.convolve(np.asarray(series.values), _CMA_WEIGHTS, mode="valid")
     return (None,) * 6 + tuple(float(v) for v in interior) + (None,) * 6
 
 
-def seasonal_indices(series: MonthlyTimeSeries,
-                     trend: tuple[float | None, ...]) -> tuple[float, ...]:
+def _seasonal_indices(series: MonthlyTimeSeries,
+                      trend: tuple[float | None, ...]) -> tuple[float, ...]:
     """Zero-sum seasonal indices from the detrended series, January first.
 
     The raw index for a calendar month is the mean of the detrended values
-    falling in that month; the twelve raw indices are then centered.
+    falling in that month; the twelve raw indices are then centered.  With
+    24 or more months the trend has twelve consecutive defined values, so
+    every calendar month has one.
 
     Raises:
-        InsufficientCoverageError: a calendar month has no detrended value.
         ComputationError: an index is not finite (the detrended sums
             overflow).
     """
@@ -75,10 +76,6 @@ def seasonal_indices(series: MonthlyTimeSeries,
     for i, t in enumerate(trend):
         if t is not None:
             buckets[months[i]].append(series.values[i] - t)
-    for m, bucket in enumerate(buckets):
-        if not bucket:
-            raise InsufficientCoverageError(
-                f"no detrended observation for month {m + 1}")
     # arrays warn where floats overflow quietly; the isfinite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.array([np.mean(b) for b in buckets])
@@ -99,8 +96,8 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
     if len(series) < 24:
         raise SeriesTooShortError(
             f"decomposition needs at least 24 months, got {len(series)}")
-    trend = centered_moving_average_trend(series)
-    indices = seasonal_indices(series, trend)
+    trend = _cma_trend(series)
+    indices = _seasonal_indices(series, trend)
     months = series.month_indices()
     seasonal = tuple(indices[m] for m in months)
     random = tuple(

@@ -52,10 +52,6 @@ class SeriesTooShortError(ComputationError):
     """Series has too few observations for the operation."""
 
 
-class InsufficientCoverageError(ComputationError):
-    """Some calendar month has no detrended observation."""
-
-
 class InsufficientDataError(ComputationError):
     """Too few values to summarize."""
 

@@ -116,10 +116,13 @@ def summarize_errors(apes) -> ErrorSummary:
 
 
 def _report(method_id, months, actuals, forecasts) -> MethodReport:
-    rows = tuple(
-        ForecastRow(m, a, f, absolute_percentage_error(a, f))
-        for m, a, f in zip(months, actuals, forecasts))
-    return MethodReport(method_id, rows, summarize_errors(r.ape for r in rows))
+    rows = []
+    for m, a, f in zip(months, actuals, forecasts):
+        if a == 0:
+            raise ZeroDivisionError(f"actual value is zero at {m}")
+        rows.append(ForecastRow(m, a, f, absolute_percentage_error(a, f)))
+    return MethodReport(method_id, tuple(rows),
+                        summarize_errors(r.ape for r in rows))
 
 
 def _fit_forecast(train: MonthlyTimeSeries, engine: Engine,

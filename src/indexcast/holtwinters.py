@@ -14,12 +14,13 @@ Nelder-Mead internals.  Everything is deterministic: identical series
 produce identical models, and a series scaled by a power of two gives the
 same constants.
 
-Starting state comes from a classical decomposition of the first two years:
-a 2x12 centered moving average gives twelve interior trend values, a least
-squares line through them supplies the starting level and slope, and the
-centered calendar-month means of the detrended values supply the starting
-seasonal figures.  The recursions then warm up over the second year; only
-predictions for observations 25..n are scored.
+Starting state comes from a classical decomposition of the first two years,
+computed by ``decompose``'s private helpers: a 2x12 centered moving average
+gives twelve interior trend values, a least squares line through them
+supplies the starting level and slope, and the centered calendar-month
+means of the detrended values supply the starting seasonal figures.  The
+recursions then warm up over the second year; only predictions for
+observations 25..n are scored.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import minimize
-from .decompose import centered_moving_average_trend, seasonal_indices
+from .decompose import _cma_trend, _seasonal_indices
 from .errors import ComputationError, SeriesTooShortError
 from .series import MonthlyTimeSeries, MonthStamp
 
@@ -82,25 +83,6 @@ class HoltWintersModel:
         return "\n".join(lines)
 
 
-def initialize_state(series: MonthlyTimeSeries) -> tuple[float, float, tuple[float, ...]]:
-    """Starting (level, slope, seasonal[12]) from the first two years.
-
-    The seasonal figures are keyed by calendar month (January first) and
-    centered to sum to zero.  Requires at least 24 observations.
-    """
-    if len(series) < 24:
-        raise SeriesTooShortError(
-            f"initialization needs at least 24 months, got {len(series)}")
-    first_two_years = MonthlyTimeSeries(series.start, series.values[:24])
-    full_trend = centered_moving_average_trend(first_two_years)
-    trend = np.array([t for t in full_trend if t is not None])  # twelve values
-    k = np.arange(1.0, 13.0)
-    slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
-                   / ((k - k.mean()) ** 2).sum())
-    level0 = float(trend.mean() - slope0 * k.mean())
-    return level0, slope0, seasonal_indices(first_two_years, full_trend)
-
-
 def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
     """Run the smoothing recursions for (alpha, beta, gamma).
 
@@ -129,10 +111,23 @@ def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma
 
 
 def _state_of(series: MonthlyTimeSeries):
+    """``_run_filter``'s leading arguments: values, calendar months and the
+    starting (level, slope, seasonal[12]) from the first two years.
+
+    The seasonal figures are keyed by calendar month (January first) and
+    centered to sum to zero.
+    """
     if len(series) < 25:  # months 25..n are scored
         raise SeriesTooShortError(
             f"scoring needs at least 25 months, got {len(series)}")
-    level0, slope0, seasonal0 = initialize_state(series)
+    first_two_years = MonthlyTimeSeries(series.start, series.values[:24])
+    full_trend = _cma_trend(first_two_years)
+    trend = np.array([t for t in full_trend if t is not None])  # twelve values
+    k = np.arange(1.0, 13.0)
+    slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
+                   / ((k - k.mean()) ** 2).sum())
+    level0 = float(trend.mean() - slope0 * k.mean())
+    seasonal0 = _seasonal_indices(first_two_years, full_trend)
     return series.values, series.month_indices(), level0, slope0, seasonal0
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, fresh_python
-from indexcast import arima, make_series, write_values_file
+from indexcast import MonthStamp, arima, make_series, write_values_file
 from indexcast.cli import main
 from indexcast.evaluate import METHODS
 from snapshots.regenerate import SNAPSHOT_DIR
@@ -249,6 +249,19 @@ class TestForecast:
         assert code == 4
         assert err.startswith("computation error")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["I", "II"])
+    def test_zero_actual_names_its_month(self, method, capsys, tmp_path,
+                                         cd_series):
+        # a percentage error divides by the actual value of 2015-03
+        values = list(cd_series.values)
+        values[cd_series.index_of(MonthStamp(2015, 3))] = 0.0
+        path = tmp_path / "zero.txt"
+        write_values_file(path, make_series("2010-01", values))
+        code, out, err = run_cli(capsys, "forecast", "--method", method,
+                                 "--input", str(path), "--start", "2010-01")
+        assert (code, out) == (4, "")
+        assert err == "computation error: actual value is zero at 2015-03\n"
 
     @pytest.mark.parametrize("method", ["IV", "V"])
     def test_missing_scipy_is_computation_error(self, method, capsys,

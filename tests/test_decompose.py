@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from indexcast import (ComputationError, InsufficientCoverageError,
-                       SeriesTooShortError, centered_moving_average_trend,
-                       component_percentage, decompose_additive, make_series,
-                       seasonal_indices)
+from indexcast import (ComputationError, SeriesTooShortError,
+                       component_percentage, decompose_additive, make_series)
 
 BIG = 1.7e308  # finite, but two of them overflow a sum
 
@@ -20,12 +18,12 @@ def linear(a, b, n, start="2010-01"):
 
 class TestCenteredMovingAverage:
     def test_table_anchor_july_2010(self, cd_series):
-        trend = centered_moving_average_trend(cd_series)
+        trend = decompose_additive(cd_series).trend
         assert trend[6] == pytest.approx(5247.54, abs=0.01)
         assert round(trend[6]) == 5248
 
     def test_constant_series(self):
-        trend = centered_moving_average_trend(make_series("2010-01", [7.0] * 24))
+        trend = decompose_additive(make_series("2010-01", [7.0] * 24)).trend
         assert trend[:6] == (None,) * 6 and trend[-6:] == (None,) * 6
         assert all(v == pytest.approx(7.0) for v in trend[6:18])
 
@@ -33,52 +31,41 @@ class TestCenteredMovingAverage:
         # symmetric weights: the average of a + b*t over the 13-term window
         # recentres on t, so the trend equals the line itself
         a, b, n = 1.0, 2.0, 36
-        trend = centered_moving_average_trend(linear(a, b, n))
+        trend = decompose_additive(linear(a, b, n)).trend
         brute = oracles.cma_trend([a + b * t for t in range(n)])
         for t in range(6, n - 6):
             assert trend[t] == pytest.approx(a + b * t, abs=1e-9)
             assert trend[t] == pytest.approx(brute[t], abs=1e-9)
 
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
-            centered_moving_average_trend(make_series("2010-01", [1.0] * 12))
-
 
 class TestSeasonalIndices:
     def test_zero_sum_and_table_values(self, cd_series):
-        trend = centered_moving_average_trend(cd_series)
-        idx = seasonal_indices(cd_series, trend)
+        idx = decompose_additive(cd_series).seasonal_indices
         assert sum(idx) == pytest.approx(0.0, abs=1e-9)
         published = [-180, -185, -176, 55, 88, -5, 53, -78, 122, 251, 182, -127]
         for ours, ref in zip(idx, published):
             assert ours == pytest.approx(ref, abs=1.0)
 
     def test_pure_linear_trend_has_no_seasonality(self):
-        s = linear(5.0, 3.0, 48)
-        idx = seasonal_indices(s, centered_moving_average_trend(s))
+        idx = decompose_additive(linear(5.0, 3.0, 48)).seasonal_indices
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in idx)
 
     def test_recovers_injected_pattern(self):
         pattern = [12.0, -3.0, 5.0, -8.0, 2.0, 1.0, -4.0, 7.0, -6.0, 3.0, -9.0, 0.0]
         s = make_series("2010-01", [100.0 + pattern[t % 12] for t in range(48)])
-        idx = seasonal_indices(s, centered_moving_average_trend(s))
+        idx = decompose_additive(s).seasonal_indices
         for ours, ref in zip(idx, pattern):
             assert ours == pytest.approx(ref, abs=1e-6)
 
-    def test_insufficient_coverage(self):
-        s = make_series("2010-01", list(range(20)))
-        trend = centered_moving_average_trend(s)
-        with pytest.raises(InsufficientCoverageError):
-            seasonal_indices(s, trend)
-
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_means_raise_without_a_warning(self):
-        # each calendar month's detrended values share a sign near 1.7e308,
-        # so their sum overflows; the arrays must not warn on the way
-        series = alternating_extremes()
-        with pytest.raises(ComputationError, match="seasonal indices"):
-            seasonal_indices(series, centered_moving_average_trend(series))
+    @pytest.mark.parametrize("start_month", range(1, 13))
+    def test_every_month_covered_at_the_minimum(self, start_month):
+        # 24 months from any start give twelve consecutive trend values, one
+        # per calendar month, which the seasonal indices rely on
+        values = list(np.random.default_rng(start_month).normal(500, 40, 24))
+        d = decompose_additive(make_series(f"2011-{start_month:02d}", values))
+        _, idx, _, _ = oracles.decompose(values, start_month - 1)
+        for ours, ref in zip(d.seasonal_indices, idx):
+            assert ours == pytest.approx(ref, abs=1e-9)
 
 
 class TestDecomposeAdditive:

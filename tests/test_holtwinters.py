@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from indexcast import (ComputationError, HoltWintersParams, MonthStamp,
                        SeriesTooShortError, fit_holt_winters, forecast_hw,
-                       initialize_state, make_series, one_step_sse,
-                       slice_window)
+                       make_series, one_step_sse, slice_window)
 from indexcast.holtwinters import GRID_POINTS, _run_filter, _state_of
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
@@ -28,23 +27,30 @@ class TestParams:
                 HoltWintersParams(*bad)
 
 
+def initial_state(series):
+    """(level, slope, seasonal[12]) that ``_state_of`` starts the filter from."""
+    return _state_of(series)[2:]
+
+
 class TestInitializeState:
+    # 25 months: scoring needs one month past the two years the state uses
+
     def test_constant_series(self):
-        level, slope, seasonal = initialize_state(make_series("2010-01", [9.0] * 24))
+        level, slope, seasonal = initial_state(make_series("2010-01", [9.0] * 25))
         assert level == pytest.approx(9.0)
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert all(s == pytest.approx(0.0, abs=1e-12) for s in seasonal)
 
     def test_linear_ramp_recovers_slope(self):
-        level, slope, seasonal = initialize_state(
-            make_series("2010-01", [5.0 + 3.0 * t for t in range(24)]))
+        level, slope, seasonal = initial_state(
+            make_series("2010-01", [5.0 + 3.0 * t for t in range(25)]))
         assert slope == pytest.approx(3.0, abs=1e-9)
         assert all(s == pytest.approx(0.0, abs=1e-9) for s in seasonal)
 
     def test_flat_seasonal_recovers_pattern(self):
         s = make_series("2010-01", [100.0 + ZERO_SUM_PATTERN[t % 12]
-                                    for t in range(24)])
-        level, slope, seasonal = initialize_state(s)
+                                    for t in range(25)])
+        level, slope, seasonal = initial_state(s)
         assert level == pytest.approx(100.0, abs=1e-9)
         assert slope == pytest.approx(0.0, abs=1e-9)
         for ours, ref in zip(seasonal, ZERO_SUM_PATTERN):
@@ -54,16 +60,25 @@ class TestInitializeState:
         rng = np.random.default_rng(7)
         values = list(rng.normal(500, 40, 30))
         s = make_series("2011-04", values)
-        level, slope, seasonal = initialize_state(s)
+        level, slope, seasonal = initial_state(s)
         olevel, oslope, oseasonal = oracles.hw_initial_state(values, 3)
         assert level == pytest.approx(olevel, rel=1e-12)
         assert slope == pytest.approx(oslope, rel=1e-12)
         for ours, ref in zip(seasonal, oseasonal):
             assert ours == pytest.approx(ref, abs=1e-9)
 
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShortError):
-            initialize_state(make_series("2010-01", [1.0] * 23))
+    @pytest.mark.parametrize("start_month", range(1, 13))
+    def test_matches_loop_oracle_at_the_minimum(self, start_month):
+        # every start month's first two years cover each calendar month once
+        values = list(np.random.default_rng(start_month).normal(500, 40, 25))
+        level, slope, seasonal = initial_state(
+            make_series(f"2011-{start_month:02d}", values))
+        olevel, oslope, oseasonal = oracles.hw_initial_state(values,
+                                                             start_month - 1)
+        assert level == pytest.approx(olevel, rel=1e-12)
+        assert slope == pytest.approx(oslope, rel=1e-12, abs=1e-12)
+        for ours, ref in zip(seasonal, oseasonal):
+            assert ours == pytest.approx(ref, abs=1e-9)
 
 
 class TestOneStepSse:
