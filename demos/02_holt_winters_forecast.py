@@ -21,7 +21,8 @@ train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
 
 model = fit_holt_winters(train)
 print("fitted model:")
-print(model.summary())
+print(model.params)
+print("training one-step SSE:", model.sse)
 print()
 
 forecasts = forecast_hw(model, 12)

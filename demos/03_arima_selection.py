@@ -25,7 +25,8 @@ train = slice_window(series, MonthStamp(2010, 1), MonthStamp(2014, 12))
 print("difference order chosen:", choose_difference_order(train))
 model = select_order(train)
 print("selected order:", model.order)
-print(model.summary())
+print("ar:", model.ar_coeffs, "ma:", model.ma_coeffs)
+print("drift:", model.drift_value, "aicc:", model.aicc)
 print()
 
 print("a few fixed small orders for comparison (AICc):")

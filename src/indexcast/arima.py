@@ -97,18 +97,6 @@ class ArimaModel:
     level_tails: tuple[float, ...]
     converged: bool = True
 
-    def summary(self) -> str:
-        o = self.order
-        lines = [
-            f"order=({o.p},{o.d},{o.q})",
-            f"drift={self.drift_value!r}",
-            "ar=" + ",".join(repr(v) for v in self.ar_coeffs),
-            "ma=" + ",".join(repr(v) for v in self.ma_coeffs),
-            f"sigma2={self.sigma2!r}",
-            f"aicc={self.aicc!r}",
-        ]
-        return "\n".join(lines)
-
 
 def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float, ...]:
     """Undo differencing forward from known values.

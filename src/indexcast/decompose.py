@@ -105,7 +105,7 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
         for i, t in enumerate(trend))
     for i, r in enumerate(random):
         if r is not None and not math.isfinite(r):
-            raise ComputationError(f"random component at {series.month_at(i)} "
+            raise ComputationError(f"random component at {series.start.offset(i)} "
                                    "is not finite; the series overflows")
     return DecompositionResult(series, trend, seasonal, indices, random)
 
@@ -128,6 +128,6 @@ def component_percentage(series: MonthlyTimeSeries,
         y = series.values[i]
         if y == 0:
             raise ZeroDivisionError(
-                f"series value is zero at {series.month_at(i)}")
+                f"series value is zero at {series.start.offset(i)}")
         out.append(c / y * 100.0)
     return tuple(out)

@@ -248,7 +248,9 @@ def structural_stability(series_full: MonthlyTimeSeries,
     trends are defined the signed variation (sum_b - sum_a) / sum_a * 100
     is reported.  By default window_a is all but the last year and window_b
     all but the first, as the paper compares 2010-2014 with 2011-2015; with
-    both defaults a series shorter than 37 months raises SeriesTooShortError.
+    both defaults a series shorter than 37 months raises SeriesTooShortError,
+    and a month where window A's sum is zero raises ZeroDivisionError naming
+    the month.
     """
     # each default window's 2x12 trend leaves out 6 months at either end,
     # so the two overlap only from 37 months on
@@ -271,6 +273,9 @@ def structural_stability(series_full: MonthlyTimeSeries,
         t_b = trend_b.values[trend_b.index_of(month)]
         s_a, s_b = dec_a.seasonal_index_for(month), dec_b.seasonal_index_for(month)
         sum_a, sum_b = t_a + s_a, t_b + s_b
+        if sum_a == 0:
+            raise ZeroDivisionError(
+                f"window A's trend plus seasonal sum is zero at {month}")
         rows.append(StabilityRow(
             month=month, trend_a=t_a, seasonal_a=s_a, sum_a=sum_a,
             trend_b=t_b, seasonal_b=s_b, sum_b=sum_b,

@@ -70,18 +70,6 @@ class HoltWintersModel:
     sse: float
     train_span: tuple[MonthStamp, MonthStamp]
 
-    def summary(self) -> str:
-        lines = [
-            f"alpha={self.params.alpha!r}",
-            f"beta={self.params.beta!r}",
-            f"gamma={self.params.gamma!r}",
-            f"sse={self.sse!r}",
-            f"level={self.level!r}",
-            f"slope={self.trend_slope!r}",
-            "seasonal=" + ",".join(repr(v) for v in self.seasonal_state),
-        ]
-        return "\n".join(lines)
-
 
 def _run_filter(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
     """Run the smoothing recursions for (alpha, beta, gamma).

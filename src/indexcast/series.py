@@ -80,11 +80,6 @@ class MonthlyTimeSeries:
     def __len__(self):
         return len(self.values)
 
-    def month_at(self, i: int) -> MonthStamp:
-        if not 0 <= i < len(self.values):
-            raise OutOfRangeError(f"position {i} outside series of length {len(self.values)}")
-        return self.start.offset(i)
-
     def index_of(self, stamp: MonthStamp) -> int:
         i = self.start.months_until(stamp)
         if not 0 <= i < len(self.values):

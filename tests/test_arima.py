@@ -530,12 +530,3 @@ class TestForecast:
         model = fit_arima(train, ArimaOrder(0, 1, 0))
         with pytest.raises(ValueError):
             forecast_arima(model, 0)
-
-
-class TestSummary:
-    def test_key_value_block(self, cd_series):
-        train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-        text = fit_arima(train, ArimaOrder(1, 1, 1, drift=True)).summary()
-        assert "order=(1,1,1)" in text
-        for key in ("drift=", "ar=", "ma=", "sigma2=", "aicc="):
-            assert key in text

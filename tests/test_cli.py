@@ -281,7 +281,8 @@ class TestForecast:
                        "scipy.signal._sigtools was not found\n")
 
     @pytest.mark.parametrize("method", list(METHODS))
-    @pytest.mark.parametrize("sector, path", [("CD", CD), ("SC", SC)])
+    @pytest.mark.parametrize("sector, path", [("CD", CD), ("SC", SC)],
+                             ids=["CD", "SC"])
     def test_full_precision_csv_matches_snapshot(self, sector, path, method,
                                                  capsys):
         code, out, _ = run_cli(capsys, "forecast", "--method", method,
@@ -354,6 +355,14 @@ class TestStability:
         code, out, _ = run_cli(capsys, *argv, "--input", str(values))
         assert code == 0
         assert out.encode("utf-8") == (SNAPSHOT_DIR / "stability_CD.csv").read_bytes()
+
+    def test_zero_sum_names_its_month(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        write_values_file(path, make_series("2010-01", [0.0] * 48))
+        code, out, err = run_cli(capsys, "stability", "--input", str(path))
+        assert (code, out) == (4, "")
+        assert err == ("computation error: window A's trend plus seasonal "
+                       "sum is zero at 2011-07\n")
 
     def test_no_overlap_is_computation_error(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--input", CD,

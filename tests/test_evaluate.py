@@ -182,12 +182,12 @@ class TestTrendSeasonal:
         # the first evaluation month at position 31, inside the full-series
         # trend (positions 6..n-7); 36 are too few to fit
         series = deterministic_series(37 + 12)
-        train_end = series.month_at(36)
+        train_end = series.start.offset(36)
         report = run_trend_seasonal(series, train_end)
         assert [row.month for row in report.rows] == [
             train_end.offset(h) for h in range(-5, 7)]
         with pytest.raises(SeriesTooShortError):
-            run_trend_seasonal(series, series.month_at(35))
+            run_trend_seasonal(series, series.start.offset(35))
 
 
 class TestRunMethod:
@@ -269,6 +269,15 @@ class TestStructuralStability:
             structural_stability(short, (MonthStamp(2010, 1), MonthStamp(2011, 12)))
         rows = structural_stability(make_series("2010-01", cd_series.values[:37]))
         assert [row.month for row in rows] == [MonthStamp(2011, 7)]
+
+    def test_zero_sum_names_its_month(self):
+        zeros = make_series("2010-01", [0.0] * 48)
+        windows = ((MonthStamp(2010, 1), MonthStamp(2012, 12)),
+                   (MonthStamp(2011, 1), MonthStamp(2013, 12)))
+        for args in ((), windows):
+            with pytest.raises(ZeroDivisionError, match="^window A's trend plus "
+                               "seasonal sum is zero at 2011-07$"):
+                structural_stability(zeros, *args)
 
     def test_published_anchors(self, cd_series, sc_series):
         rows = structural_stability(cd_series, self.WINDOW_A, self.WINDOW_B)

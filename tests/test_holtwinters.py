@@ -330,13 +330,3 @@ class TestForecast:
         train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
         fc = forecast_hw(fit_holt_winters(train), 12)
         assert fc[0] == pytest.approx(9451, rel=0.05)
-
-
-class TestSummary:
-    def test_key_value_block(self, cd_series):
-        train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
-        text = fit_holt_winters(train).summary()
-        for key in ("alpha=", "beta=", "gamma=", "sse=", "level=", "slope=",
-                    "seasonal="):
-            assert key in text
-        assert len(text.splitlines()[-1].split("=")[1].split(",")) == 12

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import indexcast
 
 # the 49 public names; a change to the public API shows here, in review
@@ -21,3 +24,26 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(indexcast.__all__) == PUBLIC_NAMES
+
+# the public methods and properties of each exported class, dataclass fields
+# aside; every class not listed here has none
+PUBLIC_MEMBERS = {
+    "DecompositionResult": ["seasonal_index_for", "trend_series"],
+    "MonthStamp": ["month_index", "months_until", "offset", "parse"],
+    "MonthlyTimeSeries": ["end", "index_of", "month_indices", "months"],
+}
+
+
+def test_public_members():
+    members = {}
+    for name in indexcast.__all__:
+        cls = getattr(indexcast, name)
+        if not inspect.isclass(cls):
+            continue
+        fields = ({f.name for f in dataclasses.fields(cls)}
+                  if dataclasses.is_dataclass(cls) else set())
+        own = sorted(k for k in vars(cls)
+                     if not k.startswith("_") and k not in fields)
+        if own:
+            members[name] = own
+    assert members == PUBLIC_MEMBERS

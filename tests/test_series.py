@@ -42,7 +42,6 @@ class TestMonthlyTimeSeries:
         s = make_series("2010-01", range(72))
         assert s.end == MonthStamp(2015, 12)
         assert s.index_of(MonthStamp(2012, 5)) == 28
-        assert s.month_at(28) == MonthStamp(2012, 5)
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(EmptyInputError):
