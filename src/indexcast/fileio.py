@@ -4,18 +4,33 @@ Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month comes from the caller or from a
 ``# start YYYY-MM`` line, and the two must agree when both are given.
 Daily CSV: header ``date,value`` with ISO-8601 dates, averaged per calendar
-month.  Both readers skip a leading UTF-8 byte order mark (spreadsheets
-write one).
+month; cells may be quoted and columns after ``value`` are ignored.  Both
+readers skip a leading UTF-8 byte order mark (spreadsheets write one) and
+raise ``DataError`` naming the file on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import math
 from pathlib import Path
 from .errors import DataError, EmptyInputError, MissingStartError, ParseError
 from .series import MonthlyTimeSeries, MonthStamp, aggregate_daily_to_monthly
+
+
+@contextlib.contextmanager
+def _utf8(path, newline=None):
+    """`path` open as UTF-8 text, a leading BOM skipped.  Bytes that do not
+    decode raise ``DataError`` naming the file: the ``UnicodeDecodeError``
+    they raise in reading is a ``ValueError``, which is no data error."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: byte "
+                            f"0x{exc.object[exc.start]:02x} does not decode") from None
 
 
 def _header_month(comment: str) -> MonthStamp | None:
@@ -48,7 +63,7 @@ def read_values_file(path: str | Path,
     ``DataError``.
     """
     values = []
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    with _utf8(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if text.startswith("#"):
@@ -78,29 +93,51 @@ def write_values_file(path: str | Path, series: MonthlyTimeSeries,
     Path(path).write_text(values_text(series, full_precision), encoding="utf-8")
 
 
+def _daily_pairs(rows, path):
+    """The ``(date, value)`` pair of each data row, line 2 on, as it is read.
+
+    A row whose first two cells are an ISO date and a finite number is
+    parsed once; any other row is checked again cell by cell, so a blank row
+    is skipped and a bad one raises ``ParseError`` naming its line.
+    """
+    parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
+    for line_number, row in enumerate(rows, start=2):
+        if len(row) > 1:
+            try:
+                date = parse_date(row[0])
+                value = to_float(row[1])
+            except ValueError:
+                pass
+            else:
+                if isfinite(value):
+                    yield date, value
+                    continue
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ParseError(path, line_number, f"expected 2 columns, got {row!r}")
+        try:
+            date = parse_date(row[0].strip())
+        except ValueError:
+            raise ParseError(path, line_number, f"bad ISO date: {row[0]!r}") from None
+        yield date, _number(row[1], path, line_number)
+
+
 def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     """Read a ``date,value`` CSV with ISO dates into monthly means.
 
-    Every row is parsed, so a bad one raises ``ParseError`` with its line
-    number, before ``aggregate_daily_to_monthly`` averages the rows.
+    Rows stream from the file into ``aggregate_daily_to_monthly`` with no
+    list of them in between; the month sums follow file order, so a month
+    whose rows come back later resumes from its total.  A bad row raises
+    ``ParseError`` with its line number as it is read, so before any check
+    on the months (a gap, no rows).  Cells may be quoted; columns after
+    ``value`` are ignored.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+    with _utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise EmptyInputError(f"{path} is empty")
         if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
             raise ParseError(path, 1, f"expected header 'date,value', got {header!r}")
-        for line_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ParseError(path, line_number, f"expected 2 columns, got {row!r}")
-            try:
-                date = datetime.date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(path, line_number,
-                                 f"bad ISO date: {row[0]!r}") from None
-            rows.append((date, _number(row[1], path, line_number)))
-    return aggregate_daily_to_monthly(rows)
+        return aggregate_daily_to_monthly(_daily_pairs(reader, path))

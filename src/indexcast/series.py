@@ -100,31 +100,43 @@ def aggregate_daily_to_monthly(
     """Average ``(date, value)`` pairs into a gapless monthly series.
 
     Each monthly value is the unweighted arithmetic mean of that month's
-    values, summed in the order given.  The output spans every calendar
-    month between the first and the last date; dates need not be contiguous.
+    values, summed left to right in the order given.  The pairs are read
+    in one pass and not stored: a running total is kept for the current
+    month, and a month that comes back after another one resumes its sum
+    from its stored total.  The output spans every
+    calendar month between the first and the last date; dates need not be
+    contiguous or sorted.  The checks below run after the last pair, so an
+    error the iterable raises comes first.
 
     Raises:
         EmptyInputError: no observations supplied.
         GapInSeriesError: a month inside the span has no observations.
         ComputationError: a month's mean is not finite (its sum overflows).
     """
-    sums: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
+    months: dict[tuple[int, int], tuple[float, int]] = {}
+    year = month = None
+    total, count = 0.0, 0
     for date, value in daily:
-        key = (date.year, date.month)
-        sums[key] = sums.get(key, 0.0) + value
-        counts[key] = counts.get(key, 0) + 1
-    if not sums:
+        if date.month != month or date.year != year:
+            if count:
+                months[year, month] = (total, count)
+            year, month = date.year, date.month
+            total, count = months.get((year, month), (0.0, 0))
+        total += value
+        count += 1
+    if not count:
         raise EmptyInputError("no daily observations")
-    first = MonthStamp(*min(sums))
-    last = MonthStamp(*max(sums))
+    months[year, month] = (total, count)
+    first = MonthStamp(*min(months))
+    last = MonthStamp(*max(months))
     values = []
     for i in range(first.months_until(last) + 1):
         stamp = first.offset(i)
         key = (stamp.year, stamp.month)
-        if key not in sums:
+        if key not in months:
             raise GapInSeriesError(f"no observations in {stamp}")
-        mean = sums[key] / counts[key]
+        total, count = months[key]
+        mean = total / count
         if not math.isfinite(mean):
             raise ComputationError(f"mean of {stamp} is not finite: {mean}")
         values.append(mean)

@@ -1,9 +1,17 @@
 """Independent brute-force implementations used only as test oracles.
 
 Everything here is written with explicit loops and shares no code with the
-library.  Tests compare library output against these to catch agreement
-failures in either direction.
+library (the daily-CSV reader raises the library's exception types, so that
+tests can compare failures too).  Tests compare library output against these
+to catch agreement failures in either direction.
 """
+
+import csv
+import datetime
+import math
+
+from indexcast.errors import (ComputationError, EmptyInputError,
+                              GapInSeriesError, ParseError)
 
 
 def cma_trend(values):
@@ -116,3 +124,57 @@ def arma_forecast_on_diffs(z_hist, e_hist, p, q, ar, ma, horizon):
         e.append(0.0)
         out.append(acc)
     return out
+
+
+def daily_csv_monthly_means(path):
+    """A ``date,value`` CSV's monthly means: every row is parsed into a list
+    first, then summed per month in file order in a dict.
+
+    Returns ((first year, first month), means); raises what the library
+    reader raises, with the same message and line number.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise EmptyInputError(f"{path} is empty")
+    if [c.strip().lower() for c in rows[0][:2]] != ["date", "value"]:
+        raise ParseError(path, 1, f"expected header 'date,value', got {rows[0]!r}")
+    parsed = []
+    for line_number in range(2, len(rows) + 1):
+        row = rows[line_number - 1]
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ParseError(path, line_number, f"expected 2 columns, got {row!r}")
+        try:
+            date = datetime.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ParseError(path, line_number, f"bad ISO date: {row[0]!r}") from None
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ParseError(path, line_number,
+                             f"not a number: {row[1]!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(path, line_number, f"non-finite value: {row[1]!r}")
+        parsed.append((date, value))
+    sums, counts = {}, {}
+    for date, value in parsed:
+        key = (date.year, date.month)
+        sums[key] = sums.get(key, 0.0) + value
+        counts[key] = counts.get(key, 0) + 1
+    if not sums:
+        raise EmptyInputError("no daily observations")
+    first, last = min(sums), max(sums)
+    year, month = first
+    means = []
+    while (year, month) <= last:
+        name = f"{year:04d}-{month:02d}"
+        if (year, month) not in sums:
+            raise GapInSeriesError(f"no observations in {name}")
+        mean = sums[year, month] / counts[year, month]
+        if not math.isfinite(mean):
+            raise ComputationError(f"mean of {name} is not finite: {mean}")
+        means.append(mean)
+        year, month = (year, month + 1) if month < 12 else (year + 1, 1)
+    return first, means

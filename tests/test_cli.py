@@ -51,6 +51,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command, fmt, text", [
+    ("decompose", "values", "# start 2010-01\n100\n# caf\xe9\n"),
+    ("stability", "daily_csv", "date,value\n2010-01-04,1\n2010-01-05,2,caf\xe9\n"),
+], ids=["decompose", "stability"])
+def test_input_that_is_not_utf8_is_a_data_error(capsys, tmp_path, command, fmt,
+                                                text):
+    path = tmp_path / "latin1"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == f"data error: {path} is not UTF-8 text: byte 0xe9 does not decode\n"
+
+
 class TestIngest:
     def test_daily_csv_to_values_round_trip(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"

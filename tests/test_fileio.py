@@ -1,3 +1,5 @@
+import datetime
+import re
 import tempfile
 from pathlib import Path
 
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from indexcast import (DataError, EmptyInputError, GapInSeriesError,
-                       MissingStartError, MonthStamp, ParseError, make_series,
-                       read_daily_csv, read_values_file, write_values_file)
+                       IndexcastError, MissingStartError, MonthStamp, ParseError,
+                       make_series, read_daily_csv, read_values_file,
+                       write_values_file)
 
 
 class TestValuesFormat:
@@ -127,6 +131,19 @@ class TestDailyCsv:
             read_daily_csv(path)
         assert getattr(exc.value, "line_number", None) == line_number
 
+    @pytest.mark.parametrize("gap", [False, True], ids=["no_gap", "gap"])
+    def test_bad_value_on_the_last_of_4000_rows(self, tmp_path, gap):
+        day, lines = datetime.date(2010, 1, 4), ["date,value"]
+        while len(lines) < 4000:
+            if not (gap and (day.year, day.month) == (2011, 2)):
+                lines.append(f"{day.isoformat()},{len(lines)}.5")
+            day += datetime.timedelta(days=1)
+        path = tmp_path / "daily.csv"
+        path.write_text("\n".join(lines) + f"\n{day.isoformat()},x\n")
+        with pytest.raises(ParseError, match="not a number: 'x'") as exc:
+            read_daily_csv(path)
+        assert exc.value.line_number == 4001
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "daily.csv"
         path.write_bytes(b"")
@@ -183,3 +200,100 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, text, read):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert read(marked) == read(plain)
+
+
+@pytest.mark.parametrize("text, read", [
+    ("# start 2010-01\n100\n# caf\xe9\n200.5\n",
+     lambda path: read_values_file(path, MonthStamp(2010, 1))),
+    ("date,value\n2010-01-04,3875.25\n2010-02-01,3904.75,caf\xe9\n", read_daily_csv),
+], ids=["values", "daily_csv"])
+def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path, text, read):
+    path = tmp_path / "latin1"
+    path.write_bytes(text.encode("latin-1"))
+    message = f"{path} is not UTF-8 text: byte 0xe9 does not decode"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$") as exc:
+        read(path)
+    # the CLI reports a ValueError as a computation error, exit 4
+    assert not isinstance(exc.value, ValueError)
+
+
+# cells no reader may accept, as (column, text); column None drops the value
+BAD_CELLS = [(0, "2010-13-01"), (0, "04/01/2010"), (0, ""), (1, "x"), (1, ""),
+             (1, "nan"), (1, "-inf"), (1, "1e999"), (None, None)]
+
+
+@st.composite
+def daily_csv_files(draw):
+    """Bytes of a daily CSV whose rows switch back and forth between three to
+    five consecutive months, with blank rows, quoted and padded cells, a
+    third column and an optional BOM; maybe one bad cell.
+
+    Returns (bytes, line number of the bad cell or None).
+    """
+    first = draw(st.integers(1990 * 12, 2030 * 12))
+    months = [divmod(first + k, 12) for k in range(draw(st.integers(3, 5)))]
+    values = st.one_of(st.floats(-1e17, 1e17),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    ks = list(range(len(months))) + draw(st.lists(st.integers(0, len(months) - 1),
+                                                  max_size=30))
+    rows = [(k, draw(st.integers(1, 28)), draw(values)) for k in ks]
+    rows = draw(st.permutations(rows))
+    third = draw(st.booleans())
+    cells = []
+    for k, d, value in rows:
+        year, month0 = months[k]
+        row = [datetime.date(year, month0 + 1, d).isoformat(), repr(value)]
+        if draw(st.booleans()):
+            row[0] = f" {row[0]} "
+        if draw(st.booleans()):
+            row[1] = f" {row[1]} "
+        if third:
+            row.append(draw(st.sampled_from(["", "x", "a,b", "1.5"])))
+        cells.append(row)
+    bad = draw(st.none() | st.tuples(st.integers(0, len(cells) - 1),
+                                     st.sampled_from(BAD_CELLS)))
+    if bad is not None:
+        i, (column, text) = bad
+        if column is None:
+            del cells[i][1:]
+        else:
+            cells[i][column] = text
+    lines = ["date,value,note" if third else "date,value"]
+    bad_line = None
+    for i, row in enumerate(cells):
+        for blank in draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2)):
+            lines.append(blank)
+        if bad is not None and i == bad[0]:
+            bad_line = len(lines) + 1
+        quote = draw(st.booleans())
+        lines.append(",".join(f'"{c}"' if quote or "," in c else c for c in row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + newline.join(lines) + newline).encode("utf-8"), bad_line
+
+
+def _outcome(read, path):
+    """Start month and hex of each mean, or the error's type, text and line."""
+    try:
+        start, means = read(path)
+    except IndexcastError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return start, [v.hex() for v in means]
+
+
+def _library(path):
+    series = read_daily_csv(path)
+    return (series.start.year, series.start.month), series.values
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(daily_csv_files())
+def test_daily_csv_matches_the_reference_reader(case):
+    data, bad_line = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "daily.csv"
+        path.write_bytes(data)
+        got = _outcome(_library, path)
+        assert got == _outcome(oracles.daily_csv_monthly_means, path)
+    if bad_line is not None:
+        assert got[0] is ParseError and got[2] == bad_line

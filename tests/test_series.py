@@ -93,6 +93,14 @@ class TestAggregateDaily:
         scaled = aggregate_daily_to_monthly([(d, 3 * v) for d, v in daily])
         assert scaled.values[0] == pytest.approx(3 * forward.values[0], rel=1e-15)
 
+    def test_month_that_comes_back_resumes_its_sum_in_order(self):
+        # January summed left to right: 1e16 + 1.0 rounds back to 1e16, so
+        # the sum is 1.0; adding a fresh sum of its second run (-1e16) to the
+        # first run's total would give 0.0
+        daily = [day(2010, 1, 4, 1e16), day(2010, 2, 1, 5.0), day(2010, 1, 5, 1.0),
+                 day(2010, 1, 6, -1e16), day(2010, 1, 7, 1.0)]
+        assert aggregate_daily_to_monthly(daily).values == (0.25, 5.0)
+
     def test_overflowing_month_names_the_month(self):
         # each value is finite and so is the true mean, but the sum is not
         daily = [day(2010, 1, 29, 1.0), day(2010, 2, 4, 1e308), day(2010, 2, 5, 1e308)]
