@@ -25,27 +25,28 @@ from .series import MonthStamp, MonthlyTimeSeries
 from .svgchart import Line, Panel, render_chart
 
 
-def _month(parser, text, flag):
+def _month(text) -> MonthStamp:
+    """argparse ``type=`` for a YYYY-MM flag."""
     try:
         return MonthStamp.parse(text)
     except ValueError as exc:
-        parser.error(f"{flag}: {exc}")
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _window(parser, text, flag):
+def _window(text) -> tuple[MonthStamp, MonthStamp]:
+    """argparse ``type=`` for a YYYY-MM:YYYY-MM flag."""
     parts = text.split(":")
     if len(parts) != 2:
-        parser.error(f"{flag}: expected YYYY-MM:YYYY-MM, got {text!r}")
-    return (_month(parser, parts[0], flag), _month(parser, parts[1], flag))
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM:YYYY-MM, got {text!r}")
+    return _month(parts[0]), _month(parts[1])
 
 
-def _load_series(parser, path, fmt, start_text,
+def _load_series(parser, path, fmt, start: MonthStamp | None,
                  flag="--start") -> MonthlyTimeSeries:
     if fmt == "daily_csv":
         return read_daily_csv(path)
     try:
-        return read_values_file(
-            path, _month(parser, start_text, flag) if start_text else None)
+        return read_values_file(path, start)
     except MissingStartError as exc:
         parser.error(f"{exc}; give {flag} YYYY-MM or a '# start YYYY-MM' line")
 
@@ -92,8 +93,7 @@ def cmd_forecast(args, parser):
     if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
         parser.error(f"--horizon must be at least 2 (the error summary needs two "
                      f"months) and 12 for method III, got {args.horizon}")
-    train_end = _month(parser, args.train_end, "--train-end") if args.train_end else None
-    report = run_method(series, args.method, train_end, args.horizon)
+    report = run_method(series, args.method, args.train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
                                              args.precision))
     return 0
@@ -101,9 +101,7 @@ def cmd_forecast(args, parser):
 
 def cmd_stability(args, parser):
     series = _load_series(parser, args.input, args.format, args.start)
-    window_a = _window(parser, args.window_a, "--window-a") if args.window_a else None
-    window_b = _window(parser, args.window_b, "--window-b") if args.window_b else None
-    rows = structural_stability(series, window_a, window_b)
+    rows = structural_stability(series, args.window_a, args.window_b)
     _write_output(args, render_stability(rows, args.output_format, args.precision))
     return 0
 
@@ -132,8 +130,8 @@ def _add_common(sub, table=False):
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
                      default="values", help="input format (default: values)")
-    sub.add_argument("--start", help="start month YYYY-MM (values format; "
-                                     "default: the file's '# start' line)")
+    sub.add_argument("--start", type=_month, help="start month YYYY-MM (values "
+                     "format; default: the file's '# start' line)")
     sub.add_argument("--out", help="write output here instead of stdout")
     if table:  # only subcommands that render a table take a table format
         sub.add_argument("--output-format", choices=["text", "csv", "markdown"],
@@ -150,37 +148,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ingest", help="aggregate input into a monthly values file")
     _add_common(p)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, parser=p)
 
     p = subs.add_parser("decompose", help="trend/seasonal/random decomposition")
     _add_common(p, table=True)
     p.add_argument("--plot", help="write a four-panel SVG here")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, parser=p)
 
     p = subs.add_parser("forecast", help="run one of the evaluation methods I..V")
     _add_common(p, table=True)
     p.add_argument("--method", choices=list(METHODS), required=True)
-    p.add_argument("--train-end", help="last training month YYYY-MM "
-                                       "(default: horizon months before the end)")
+    p.add_argument("--train-end", type=_month, help="last training month "
+                   "YYYY-MM (default: horizon months before the end)")
     p.add_argument("--horizon", type=int, default=12,
                    help="months to evaluate, at least 2 (default 12); "
                         "method III always covers 12")
-    p.set_defaults(func=cmd_forecast)
+    p.set_defaults(func=cmd_forecast, parser=p)
 
     p = subs.add_parser("stability", help="two-window trend+seasonal comparison")
     _add_common(p, table=True)
-    p.add_argument("--window-a", help="YYYY-MM:YYYY-MM (default: all but last year)")
-    p.add_argument("--window-b", help="YYYY-MM:YYYY-MM (default: all but first year)")
-    p.set_defaults(func=cmd_stability)
+    p.add_argument("--window-a", type=_window,
+                   help="YYYY-MM:YYYY-MM (default: all but last year)")
+    p.add_argument("--window-b", type=_window,
+                   help="YYYY-MM:YYYY-MM (default: all but first year)")
+    p.set_defaults(func=cmd_stability, parser=p)
 
     p = subs.add_parser("compare", help="seasonal/random hypothesis check on two series")
     _add_common(p)
     p.add_argument("--input2", required=True, help="second input file")
     p.add_argument("--format2", choices=["values", "daily_csv"],
                    help="second input format (default: --format)")
-    p.add_argument("--start2", help="second start month (default: --start)")
+    p.add_argument("--start2", type=_month, help="second start month (default: --start)")
     p.add_argument("--plot", help="write seasonal/random overlay SVG here")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, parser=p)
     return parser
 
 
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 3

@@ -49,33 +49,33 @@ class DecompositionResult:
         return self.seasonal_indices[stamp.month_index]
 
 
-def _cma_trend(series: MonthlyTimeSeries) -> tuple[float | None, ...]:
-    """2x12 centered moving average, None outside positions 6..n-7.
+def _cma_trend(values) -> np.ndarray:
+    """2x12 centered moving average where it is defined: value k is the
+    trend at position 6 + k, for positions 6..n-7 of the n `values`.
 
     Callers pass at least 24 months, so twelve or more values are defined.
     """
-    interior = np.convolve(np.asarray(series.values), _CMA_WEIGHTS, mode="valid")
-    return (None,) * 6 + tuple(float(v) for v in interior) + (None,) * 6
+    return np.convolve(np.asarray(values), _CMA_WEIGHTS, mode="valid")
 
 
 def _seasonal_indices(series: MonthlyTimeSeries,
-                      trend: tuple[float | None, ...]) -> tuple[float, ...]:
+                      trend: np.ndarray) -> tuple[float, ...]:
     """Zero-sum seasonal indices from the detrended series, January first.
 
-    The raw index for a calendar month is the mean of the detrended values
+    `trend` is ``_cma_trend``'s output, so value k detrends position 6 + k;
+    positions past its end are not read, so `series` may run longer.  The
+    raw index for a calendar month is the mean of the detrended values
     falling in that month; the twelve raw indices are then centered.  With
-    24 or more months the trend has twelve consecutive defined values, so
-    every calendar month has one.
+    twelve or more trend values every calendar month has one.
 
     Raises:
         ComputationError: an index is not finite (the detrended sums
             overflow).
     """
-    months = series.month_indices()
     buckets: list[list[float]] = [[] for _ in range(12)]
-    for i, t in enumerate(trend):
-        if t is not None:
-            buckets[months[i]].append(series.values[i] - t)
+    for m, y, t in zip(series.month_indices()[6:], series.values[6:],
+                       trend.tolist()):
+        buckets[m].append(y - t)
     # arrays warn where floats overflow quietly; the isfinite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.array([np.mean(b) for b in buckets])
@@ -96,10 +96,10 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
     if len(series) < 24:
         raise SeriesTooShortError(
             f"decomposition needs at least 24 months, got {len(series)}")
-    trend = _cma_trend(series)
-    indices = _seasonal_indices(series, trend)
-    months = series.month_indices()
-    seasonal = tuple(indices[m] for m in months)
+    interior = _cma_trend(series.values)
+    indices = _seasonal_indices(series, interior)
+    trend = (None,) * 6 + tuple(interior.tolist()) + (None,) * 6
+    seasonal = tuple(indices[m] for m in series.month_indices())
     random = tuple(
         None if t is None else series.values[i] - t - seasonal[i]
         for i, t in enumerate(trend))

@@ -94,14 +94,16 @@ def write_values_file(path: str | Path, series: MonthlyTimeSeries,
 
 
 def _daily_pairs(rows, path):
-    """The ``(date, value)`` pair of each data row, line 2 on, as it is read.
+    """The ``(date, value)`` pair of each data row of the ``csv.reader``
+    `rows`, as it is read.
 
     A row whose first two cells are an ISO date and a finite number is
     parsed once; any other row is checked again cell by cell, so a blank row
-    is skipped and a bad one raises ``ParseError`` naming its line.
+    is skipped and a bad one raises ``ParseError`` naming the line it ends
+    on, ``rows.line_num``: a quoted cell may span lines.
     """
     parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
-    for line_number, row in enumerate(rows, start=2):
+    for row in rows:
         if len(row) > 1:
             try:
                 date = parse_date(row[0])
@@ -115,12 +117,12 @@ def _daily_pairs(rows, path):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
-            raise ParseError(path, line_number, f"expected 2 columns, got {row!r}")
+            raise ParseError(path, rows.line_num, f"expected 2 columns, got {row!r}")
         try:
             date = parse_date(row[0].strip())
         except ValueError:
-            raise ParseError(path, line_number, f"bad ISO date: {row[0]!r}") from None
-        yield date, _number(row[1], path, line_number)
+            raise ParseError(path, rows.line_num, f"bad ISO date: {row[0]!r}") from None
+        yield date, _number(row[1], path, rows.line_num)
 
 
 def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
@@ -129,15 +131,22 @@ def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     Rows stream from the file into ``aggregate_daily_to_monthly`` with no
     list of them in between; the month sums follow file order, so a month
     whose rows come back later resumes from its total.  A bad row raises
-    ``ParseError`` with its line number as it is read, so before any check
-    on the months (a gap, no rows).  Cells may be quoted; columns after
-    ``value`` are ignored.
+    ``ParseError`` as it is read, so before any check on the months (a gap,
+    no rows), naming the line the row ends on as counted in the file.
+    Cells may be quoted, and a quoted cell may span lines; columns after
+    ``value`` are ignored.  What ``csv.reader`` itself rejects, such as a
+    cell over its field size limit (131,072 characters), is a
+    ``ParseError`` too.
     """
     with _utf8(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInputError(f"{path} is empty")
-        if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
-            raise ParseError(path, 1, f"expected header 'date,value', got {header!r}")
-        return aggregate_daily_to_monthly(_daily_pairs(reader, path))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyInputError(f"{path} is empty")
+            if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
+                raise ParseError(path, 1,
+                                 f"expected header 'date,value', got {header!r}")
+            return aggregate_daily_to_monthly(_daily_pairs(reader, path))
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from None

@@ -102,20 +102,24 @@ def _state_of(series: MonthlyTimeSeries):
     """``_run_filter``'s leading arguments: values, calendar months and the
     starting (level, slope, seasonal[12]) from the first two years.
 
-    The seasonal figures are keyed by calendar month (January first) and
-    centered to sum to zero.
+    ``_cma_trend`` of the first 24 values gives the twelve trend values at
+    positions 6..17; a least squares line through them gives the level and
+    slope, and ``_seasonal_indices`` the seasonal figures, keyed by calendar
+    month (January first) and centered to sum to zero.  Values that
+    overflow give a non-finite state, which the fit's ``isfinite`` check
+    reports.
     """
     if len(series) < 25:  # months 25..n are scored
         raise SeriesTooShortError(
             f"scoring needs at least 25 months, got {len(series)}")
-    first_two_years = MonthlyTimeSeries(series.start, series.values[:24])
-    full_trend = _cma_trend(first_two_years)
-    trend = np.array([t for t in full_trend if t is not None])  # twelve values
+    trend = _cma_trend(series.values[:24])  # twelve values
     k = np.arange(1.0, 13.0)
-    slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
-                   / ((k - k.mean()) ** 2).sum())
-    level0 = float(trend.mean() - slope0 * k.mean())
-    seasonal0 = _seasonal_indices(first_two_years, full_trend)
+    # arrays warn where floats overflow quietly; the isfinite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope0 = float(((k - k.mean()) * (trend - trend.mean())).sum()
+                       / ((k - k.mean()) ** 2).sum())
+        level0 = float(trend.mean() - slope0 * k.mean())
+    seasonal0 = _seasonal_indices(series, trend)
     return series.values, series.month_indices(), level0, slope0, seasonal0
 
 

@@ -128,20 +128,23 @@ def arma_forecast_on_diffs(z_hist, e_hist, p, q, ar, ma, horizon):
 
 def daily_csv_monthly_means(path):
     """A ``date,value`` CSV's monthly means: every row is parsed into a list
-    first, then summed per month in file order in a dict.
+    first, then summed per month in file order in a dict.  A row's line
+    number is ``csv.reader.line_num`` after it, the physical line it ends
+    on.
 
     Returns ((first year, first month), means); raises what the library
     reader raises, with the same message and line number.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        rows = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise EmptyInputError(f"{path} is empty")
-    if [c.strip().lower() for c in rows[0][:2]] != ["date", "value"]:
-        raise ParseError(path, 1, f"expected header 'date,value', got {rows[0]!r}")
+    (_, header), *rows = rows
+    if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
+        raise ParseError(path, 1, f"expected header 'date,value', got {header!r}")
     parsed = []
-    for line_number in range(2, len(rows) + 1):
-        row = rows[line_number - 1]
+    for line_number, row in rows:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:

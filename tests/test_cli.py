@@ -64,6 +64,49 @@ def test_input_that_is_not_utf8_is_a_data_error(capsys, tmp_path, command, fmt,
     assert err == f"data error: {path} is not UTF-8 text: byte 0xe9 does not decode\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["forecast", "--method", "I", "--input", "missing", "--train-end", "x"],
+     "argument --train-end: expected YYYY-MM, got 'x'"),
+    # a daily CSV reads no start month, and the flag is still checked
+    (["ingest", "--format", "daily_csv", "--input", "missing", "--start", "2010-13"],
+     "argument --start: month must be in 1..12, got 13"),
+    (["stability", "--input", "missing", "--window-b", "2010-01"],
+     "argument --window-b: expected YYYY-MM:YYYY-MM, got '2010-01'"),
+    (["stability", "--input", "missing", "--window-b", "2010-01:2010-13"],
+     "argument --window-b: month must be in 1..12, got 13"),
+    (["compare", "--format", "daily_csv", "--input", "missing",
+      "--input2", "missing", "--start2", "x"],
+     "argument --start2: expected YYYY-MM, got 'x'"),
+], ids=["train_end", "daily_start", "window_b", "window_b_month", "start2"])
+def test_bad_flag_is_refused_before_any_input_is_opened(capsys, tmp_path, argv,
+                                                        message):
+    # the input does not exist: reading it would be an io error, exit 3
+    argv = [str(tmp_path / a) if a == "missing" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"\nindexcast {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--input", CD],
+     f"{CD} names no start month; give --start YYYY-MM or a "
+     "'# start YYYY-MM' line"),
+    (["forecast", "--method", "I", "--input", CD, "--start", "2010-01",
+      "--horizon", "1"],
+     "--horizon must be at least 2 (the error summary needs two months) "
+     "and 12 for method III, got 1"),
+], ids=["missing_start", "horizon"])
+def test_usage_error_names_its_subcommand(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: indexcast {argv[0]} [-h] --input INPUT")
+    assert err.endswith(f"\nindexcast {argv[0]}: error: {message}\n")
+
+
 class TestIngest:
     def test_daily_csv_to_values_round_trip(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"
@@ -154,7 +197,7 @@ class TestIngest:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"error: {flag}: " in capsys.readouterr().err
+        assert f"error: argument {flag}: " in capsys.readouterr().err
 
     def test_empty_daily_csv_is_data_error(self, capsys, tmp_path):
         empty = tmp_path / "daily.csv"
@@ -163,6 +206,15 @@ class TestIngest:
                                  "--format", "daily_csv")
         assert (code, out) == (3, "")
         assert err == f"data error: {empty} is empty\n"
+
+    def test_over_long_cell_is_data_error(self, capsys, tmp_path):
+        daily = tmp_path / "big.csv"
+        daily.write_text("date,value\n2010-01-04,1\n2010-01-05," + "9" * 131_073)
+        code, out, err = run_cli(capsys, "ingest", "--input", str(daily),
+                                 "--format", "daily_csv")
+        assert (code, out) == (3, "")
+        assert err == (f"data error: {daily}:3: "
+                       "field larger than field limit (131072)\n")
 
     def test_output_format_is_usage_error(self, capsys):
         # ingest writes a values file, not a table
@@ -262,6 +314,21 @@ class TestForecast:
         assert code == 4
         assert err.startswith("computation error")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["I", "II"])
+    @pytest.mark.filterwarnings("error")
+    def test_start_state_overflow_prints_one_line(self, method, capsys,
+                                                  tmp_path):
+        # the least squares line through the first two years' trend sums
+        # past the float range: one error line, no numpy warning before it
+        huge = tmp_path / "huge.txt"
+        huge.write_text("".join(f"{1e308 * (1.0 + 0.01 * (t % 7))!r}\n"
+                                for t in range(37)))
+        code, out, err = run_cli(capsys, "forecast", "--method", method,
+                                 "--input", str(huge), "--start", "2010-01")
+        assert (code, out) == (4, "")
+        assert err == ("computation error: one-step sum of squares is not "
+                       "finite (nan); the series overflows\n")
 
     @pytest.mark.parametrize("method", ["I", "II"])
     def test_zero_actual_names_its_month(self, method, capsys, tmp_path,
@@ -471,7 +538,7 @@ class TestCompare:
             main(["compare", "--input", str(daily), "--format", "daily_csv",
                   "--input2", CD, "--format2", "values", *starts])
         assert exc.value.code == 2
-        assert (f"error: {flag}: month must be in 1..12, got 13"
+        assert (f"error: argument {flag}: month must be in 1..12, got 13"
                 in capsys.readouterr().err)
 
     def test_same_file_twice_gives_false_verdicts(self, capsys):

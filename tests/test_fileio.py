@@ -179,6 +179,27 @@ class TestDailyCsv:
         with pytest.raises(ParseError):
             read_daily_csv(path)
 
+    def test_line_number_counts_a_quoted_cells_newline(self, tmp_path):
+        # the quoted cell of line 2 ends on line 3, so the bad value is on 4
+        path = tmp_path / "daily.csv"
+        path.write_text('date,value\n2010-01-04,"1\n"\n2010-01-05,x\n')
+        with pytest.raises(ParseError, match="not a number: 'x'") as exc:
+            read_daily_csv(path)
+        assert exc.value.line_number == 4
+
+    @pytest.mark.parametrize("text, line_number", [
+        ("date,value,{big}\n2010-01-04,1\n", 1),
+        ("date,value\n2010-01-04,1\n2010-01-05,1,{big}\n", 3),
+    ], ids=["header", "row"])
+    def test_over_long_cell_is_a_parse_error(self, tmp_path, text, line_number):
+        # csv.reader refuses a cell over its field size limit
+        path = tmp_path / "daily.csv"
+        path.write_text(text.format(big="x" * 131_073))
+        with pytest.raises(ParseError, match=r": field larger than field "
+                                             r"limit \(131072\)$") as exc:
+            read_daily_csv(path)
+        assert exc.value.line_number == line_number
+
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_value_rejected_with_line_number(self, tmp_path, text):
         path = tmp_path / "daily.csv"
@@ -226,9 +247,10 @@ BAD_CELLS = [(0, "2010-13-01"), (0, "04/01/2010"), (0, ""), (1, "x"), (1, ""),
 def daily_csv_files(draw):
     """Bytes of a daily CSV whose rows switch back and forth between three to
     five consecutive months, with blank rows, quoted and padded cells, a
-    third column and an optional BOM; maybe one bad cell.
+    third column (its cell may hold a newline) and an optional BOM; maybe
+    one bad cell.
 
-    Returns (bytes, line number of the bad cell or None).
+    Returns (bytes, physical line number the bad cell's row ends on, or None).
     """
     first = draw(st.integers(1990 * 12, 2030 * 12))
     months = [divmod(first + k, 12) for k in range(draw(st.integers(3, 5)))]
@@ -248,7 +270,7 @@ def daily_csv_files(draw):
         if draw(st.booleans()):
             row[1] = f" {row[1]} "
         if third:
-            row.append(draw(st.sampled_from(["", "x", "a,b", "1.5"])))
+            row.append(draw(st.sampled_from(["", "x", "a,b", "1.5", "a\nb"])))
         cells.append(row)
     bad = draw(st.none() | st.tuples(st.integers(0, len(cells) - 1),
                                      st.sampled_from(BAD_CELLS)))
@@ -263,10 +285,11 @@ def daily_csv_files(draw):
     for i, row in enumerate(cells):
         for blank in draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2)):
             lines.append(blank)
-        if bad is not None and i == bad[0]:
-            bad_line = len(lines) + 1
         quote = draw(st.booleans())
-        lines.append(",".join(f'"{c}"' if quote or "," in c else c for c in row))
+        lines.append(",".join(f'"{c}"' if quote or "," in c or "\n" in c else c
+                              for c in row))
+        if bad is not None and i == bad[0]:
+            bad_line = sum(line.count("\n") + 1 for line in lines)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     bom = "\ufeff" if draw(st.booleans()) else ""
     return (bom + newline.join(lines) + newline).encode("utf-8"), bad_line

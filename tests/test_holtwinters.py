@@ -294,6 +294,16 @@ class TestFit:
             with pytest.raises(ComputationError):
                 fit_holt_winters(series)
 
+    def test_start_state_overflow_raises_without_a_warning(self):
+        # the first two years' trend values sum past the float range in the
+        # least squares line that gives the starting level and slope
+        series = make_series("2010-01", [1e308 * (1.0 + 0.01 * (t % 7))
+                                         for t in range(37)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputationError, match="not finite"):
+                fit_holt_winters(series)
+
 
 class TestForecast:
     def model(self, level, slope, seasonal, end=MonthStamp(2014, 12)):
