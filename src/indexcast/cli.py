@@ -89,10 +89,10 @@ def cmd_decompose(args, parser):
 
 
 def cmd_forecast(args, parser):
-    series = _load_series(parser, args.input, args.format, args.start)
     if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
         parser.error(f"--horizon must be at least 2 (the error summary needs two "
                      f"months) and 12 for method III, got {args.horizon}")
+    series = _load_series(parser, args.input, args.format, args.start)
     report = run_method(series, args.method, args.train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
                                              args.precision))

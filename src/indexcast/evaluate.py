@@ -1,12 +1,16 @@
 """Forecast-evaluation protocols and accuracy metrics.
 
-Six protocols are provided: fixed-origin 12-month forecasts (methods I and
-IV, Holt-Winters and ARIMA), rolling one-month-ahead forecasts with a
-refit before every month (II and V), a trend-plus-seasonal aggregate
-forecast built on the decomposed trend (III), and a two-window structural
-stability comparison (VI).  Errors are absolute percentage errors; summary
-standard deviations use the n-1 denominator.  ``run_method`` runs any of
-the methods I-V by its id in ``METHODS``.
+Methods I, II, IV and V pair an engine (Holt-Winters or ARIMA) with a list
+of forecast origins, and one core evaluates them all: it fits once per
+origin on the series up to it and keeps the forecasts at the given steps
+past it.  The fixed-origin protocol (I and IV) is one origin with steps
+1..h; the rolling protocol (II and V) refits before every month, so it is
+h origins with step 1.  Every evaluation month is checked before the first
+fit.  Method III forecasts the trend-plus-seasonal aggregate built on the
+decomposed trend, and method VI compares two windows for structural
+stability.  Errors are absolute percentage errors; summary standard
+deviations use the n-1 denominator.  ``run_method`` runs any of the methods
+I-V by its id in ``METHODS``.
 """
 
 from __future__ import annotations
@@ -125,15 +129,30 @@ def _report(method_id, months, actuals, forecasts) -> MethodReport:
                         summarize_errors(r.ape for r in rows))
 
 
-def _fit_forecast(train: MonthlyTimeSeries, engine: Engine,
-                  horizon: int) -> tuple[float, ...]:
-    # the fit functions are looked up at call time, so a wrapper set on this
-    # module sees every call
-    if engine == "holt_winters":
-        return forecast_hw(fit_holt_winters(train), horizon)
-    if engine == "arima":
-        return forecast_arima(select_order(train), horizon)
-    raise ValueError(f"unknown engine {engine!r}")
+# each engine fits a training series and forecasts h months past its end;
+# the lambdas look the fit functions up at call time, so a wrapper set on
+# this module sees every call
+_ENGINES = {
+    "holt_winters": lambda train, h: forecast_hw(fit_holt_winters(train), h),
+    "arima": lambda train, h: forecast_arima(select_order(train), h),
+}
+
+
+def _evaluate(series: MonthlyTimeSeries, engine: Engine, protocol: str,
+              origins, steps) -> MethodReport:
+    # one fit per origin on series.start..origin, kept at `steps` months past
+    # it; every evaluation month is looked up before the first fit
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    months = [origin.offset(h) for origin in origins for h in steps]
+    actuals = [series.values[series.index_of(m)] for m in months]
+    _require_two_errors(len(months))
+    forecasts = []
+    for origin in origins:
+        path = _ENGINES[engine](slice_window(series, series.start, origin),
+                                steps[-1])
+        forecasts += [path[h - 1] for h in steps]
+    return _report(_METHOD_ID[engine, protocol], months, actuals, forecasts)
 
 
 def run_fixed_origin(series: MonthlyTimeSeries, engine: Engine,
@@ -146,13 +165,7 @@ def run_fixed_origin(series: MonthlyTimeSeries, engine: Engine,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    series.index_of(train_end.offset(horizon))  # evaluation months in span
-    _require_two_errors(horizon)
-    train = slice_window(series, series.start, train_end)
-    forecasts = _fit_forecast(train, engine, horizon)
-    months = [train_end.offset(h) for h in range(1, horizon + 1)]
-    actuals = [series.values[series.index_of(m)] for m in months]
-    return _report(_METHOD_ID[engine, "fixed"], months, actuals, forecasts)
+    return _evaluate(series, engine, "fixed", [train_end], range(1, horizon + 1))
 
 
 def run_rolling(series: MonthlyTimeSeries, engine: Engine,
@@ -172,17 +185,9 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
                          f"1, got {workers!r}")
     if eval_start > eval_end:
         raise OutOfRangeError(f"empty evaluation window {eval_start}..{eval_end}")
-    series.index_of(eval_start)
-    series.index_of(eval_end)
-    months = [eval_start.offset(k)
-              for k in range(eval_start.months_until(eval_end) + 1)]
-    _require_two_errors(len(months))
-    forecasts = [
-        _fit_forecast(slice_window(series, series.start, month.offset(-1)),
-                      engine, 1)[0]
-        for month in months]
-    actuals = [series.values[series.index_of(month)] for month in months]
-    return _report(_METHOD_ID[engine, "rolling"], months, actuals, forecasts)
+    origins = [eval_start.offset(k)
+               for k in range(-1, eval_start.months_until(eval_end))]
+    return _evaluate(series, engine, "rolling", origins, (1,))
 
 
 def run_trend_seasonal(series_full: MonthlyTimeSeries,

@@ -34,10 +34,11 @@ class MonthStamp:
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
         """Parse ``YYYY-MM``."""
-        parts = text.strip().split("-")
-        if len(parts) != 2:
-            raise ValueError(f"expected YYYY-MM, got {text!r}")
-        return cls(int(parts[0]), int(parts[1]))
+        try:
+            year, month = map(int, text.strip().split("-"))
+        except ValueError:
+            raise ValueError(f"expected YYYY-MM, got {text!r}") from None
+        return cls(year, month)
 
     def offset(self, months: int) -> "MonthStamp":
         """The month `months` steps after this one (negative steps back)."""

@@ -77,7 +77,19 @@ def test_input_that_is_not_utf8_is_a_data_error(capsys, tmp_path, command, fmt,
     (["compare", "--format", "daily_csv", "--input", "missing",
       "--input2", "missing", "--start2", "x"],
      "argument --start2: expected YYYY-MM, got 'x'"),
-], ids=["train_end", "daily_start", "window_b", "window_b_month", "start2"])
+    (["forecast", "--method", "I", "--input", "missing", "--train-end", "2014-x"],
+     "argument --train-end: expected YYYY-MM, got '2014-x'"),
+    (["stability", "--input", "missing", "--window-b", "2010-01:2011-1x"],
+     "argument --window-b: expected YYYY-MM, got '2011-1x'"),
+    (["forecast", "--method", "I", "--input", "missing", "--horizon", "1"],
+     "--horizon must be at least 2 (the error summary needs two months) "
+     "and 12 for method III, got 1"),
+    (["forecast", "--method", "III", "--input", "missing", "--horizon", "6"],
+     "--horizon must be at least 2 (the error summary needs two months) "
+     "and 12 for method III, got 6"),
+], ids=["train_end", "daily_start", "window_b", "window_b_month", "start2",
+        "train_end_not_numeric", "window_b_not_numeric", "horizon",
+        "horizon_method_iii"])
 def test_bad_flag_is_refused_before_any_input_is_opened(capsys, tmp_path, argv,
                                                         message):
     # the input does not exist: reading it would be an io error, exit 3
@@ -93,11 +105,7 @@ def test_bad_flag_is_refused_before_any_input_is_opened(capsys, tmp_path, argv,
     (["stability", "--input", CD],
      f"{CD} names no start month; give --start YYYY-MM or a "
      "'# start YYYY-MM' line"),
-    (["forecast", "--method", "I", "--input", CD, "--start", "2010-01",
-      "--horizon", "1"],
-     "--horizon must be at least 2 (the error summary needs two months) "
-     "and 12 for method III, got 1"),
-], ids=["missing_start", "horizon"])
+], ids=["missing_start"])
 def test_usage_error_names_its_subcommand(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -71,6 +71,30 @@ class TestSummarizeErrors:
                 run_rolling(cd_series, engine, MonthStamp(2015, 1), MonthStamp(2015, 1))
         assert fits == []
 
+    @pytest.mark.parametrize("protocol", ["fixed", "rolling"])
+    @pytest.mark.parametrize("engine, error, message", [
+        ("holt_winters", OutOfRangeError, "^2016-01 outside series span"),
+        ("arima", OutOfRangeError, "^2016-01 outside series span"),
+        ("naive", ValueError, "^unknown engine 'naive'$"),
+    ], ids=["holt_winters", "arima", "unknown_engine"])
+    def test_refused_request_raises_before_any_fit(self, cd_series, monkeypatch,
+                                                   engine, protocol, error,
+                                                   message):
+        # the evaluation window runs six months past the series end: the
+        # first evaluation month outside it is named, and an unknown engine
+        # is refused before the window is looked at
+        from indexcast import evaluate
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
+        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        with pytest.raises(error, match=message):
+            if protocol == "fixed":
+                run_fixed_origin(cd_series, engine, MonthStamp(2015, 6), 12)
+            else:
+                run_rolling(cd_series, engine, MonthStamp(2015, 7),
+                            MonthStamp(2016, 6))
+        assert fits == []
+
 
 class TestFixedOrigin:
     def test_deterministic_pattern_forecasts_exactly(self):
@@ -94,6 +118,14 @@ class TestFixedOrigin:
         months = [r.month for r in method_reports["CD", "I"].rows]
         assert months[0] == MonthStamp(2015, 1)
         assert months[-1] == MonthStamp(2015, 12)
+
+    @pytest.mark.parametrize("fixed, rolling", [("I", "II"), ("IV", "V")])
+    def test_first_month_matches_the_rolling_protocol(self, method_reports,
+                                                      fixed, rolling):
+        # both fit 2010-01..2014-12 and forecast 2015-01 from that one fit
+        for sector in ("CD", "SC"):
+            assert (method_reports[sector, fixed].rows[0]
+                    == method_reports[sector, rolling].rows[0])
 
     def test_evaluation_window_must_exist(self, cd_series):
         from indexcast import OutOfRangeError

@@ -29,6 +29,11 @@ class TestMonthStamp:
         assert str(MonthStamp(2010, 3)) == "2010-03"
         with pytest.raises(ValueError):
             MonthStamp.parse("2014/07")
+        # a part that is not a number names the expected form, not int()'s
+        with pytest.raises(ValueError, match=r"^expected YYYY-MM, got '2011-1x'$"):
+            MonthStamp.parse("2011-1x")
+        with pytest.raises(ValueError, match=r"^month must be in 1\.\.12, got 13$"):
+            MonthStamp.parse("2010-13")
 
     def test_month_out_of_range_rejected(self):
         with pytest.raises(ValueError):
