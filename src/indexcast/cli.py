@@ -3,9 +3,12 @@
 Subcommands: ``ingest`` (daily CSV or values file to a monthly values
 file), ``decompose``, ``forecast`` (methods I-V), ``stability`` (two-window
 comparison), and ``compare`` (two-series hypothesis check).  Exit codes:
-0 success, 2 usage error, 3 data error, 4 computation error (also when an
-ARIMA method runs without scipy: one ``computation error: ARIMA fits need
-scipy: ...`` line on stderr).
+0 success, 2 usage error, 3 data error, 4 computation error (also when a
+command that computes runs without numpy, or an ARIMA method without
+scipy: one ``computation error: ...`` line on stderr).
+
+Each command that computes imports its models when it runs, so
+``ingest``, ``--help`` and a usage error load no numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .decompose import decompose_additive
 from .errors import ComputationError, DataError, MissingStartError
-from .evaluate import (METHODS, compare_hypotheses, run_method,
-                       structural_stability)
 from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
-from .series import MonthStamp, MonthlyTimeSeries
+from .series import METHODS, MonthStamp, MonthlyTimeSeries
 from .svgchart import Line, Panel, render_chart
 
 
@@ -76,6 +76,7 @@ def cmd_ingest(args, parser):
 
 
 def cmd_decompose(args, parser):
+    from .decompose import decompose_additive
     series = _load_series(parser, args.input, args.format, args.start)
     result = decompose_additive(series)
     _write_output(args, render_decomposition(result, args.output_format,
@@ -92,6 +93,7 @@ def cmd_forecast(args, parser):
     if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
         parser.error(f"--horizon must be at least 2 (the error summary needs two "
                      f"months) and 12 for method III, got {args.horizon}")
+    from .evaluate import run_method
     series = _load_series(parser, args.input, args.format, args.start)
     report = run_method(series, args.method, args.train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
@@ -100,6 +102,7 @@ def cmd_forecast(args, parser):
 
 
 def cmd_stability(args, parser):
+    from .evaluate import structural_stability
     series = _load_series(parser, args.input, args.format, args.start)
     rows = structural_stability(series, args.window_a, args.window_b)
     _write_output(args, render_stability(rows, args.output_format, args.precision))
@@ -107,6 +110,7 @@ def cmd_stability(args, parser):
 
 
 def cmd_compare(args, parser):
+    from .evaluate import compare_hypotheses
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
                             args.start2 or args.start,
@@ -195,7 +199,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
-    # an ImportError can only come from an ARIMA fit loading scipy's filter
+    # an ImportError comes from a command loading its models (numpy) or
+    # from an ARIMA fit loading scipy's filter
     except (ComputationError, ZeroDivisionError, ValueError,
             ImportError) as exc:
         sys.stderr.write(f"computation error: {exc}\n")

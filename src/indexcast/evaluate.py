@@ -25,14 +25,10 @@ from .decompose import component_percentage, decompose_additive
 from .errors import (InsufficientDataError, NoOverlapError, OutOfRangeError,
                      SeriesTooShortError)
 from .holtwinters import fit_holt_winters, forecast_hw
-from .series import MonthlyTimeSeries, MonthStamp, slice_window
+from .series import METHODS, MonthlyTimeSeries, MonthStamp, slice_window
 
 Engine = Literal["holt_winters", "arima"]
 
-# the paper's method ids with the engine and protocol each one runs
-METHODS = {"I": ("holt_winters", "fixed"), "II": ("holt_winters", "rolling"),
-           "III": ("holt_winters", "trend_seasonal"),
-           "IV": ("arima", "fixed"), "V": ("arima", "rolling")}
 _METHOD_ID = {pair: method_id for method_id, pair in METHODS.items()}
 
 

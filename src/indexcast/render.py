@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import TYPE_CHECKING
 
-from .decompose import DecompositionResult
-from .evaluate import HypothesisReport, MethodReport, StabilityRow
 from .series import MONTH_ABBR
+
+if TYPE_CHECKING:  # annotations only: rendering a table loads no numpy
+    from .decompose import DecompositionResult
+    from .evaluate import HypothesisReport, MethodReport, StabilityRow
 
 LEVEL = "level"      # index points: integers on display
 PERCENT = "percent"  # percentages: 2 decimals on display

@@ -19,6 +19,13 @@ from .errors import (ComputationError, EmptyInputError, GapInSeriesError,
 MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
+# the paper's method ids with the engine and protocol each one runs;
+# ``evaluate`` runs them, and the CLI reads the ids from here without
+# loading the models
+METHODS = {"I": ("holt_winters", "fixed"), "II": ("holt_winters", "rolling"),
+           "III": ("holt_winters", "trend_seasonal"),
+           "IV": ("arima", "fixed"), "V": ("arima", "rolling")}
+
 
 @dataclass(frozen=True, order=True)
 class MonthStamp:

@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 import indexcast
+from conftest import fresh_python
 from indexcast import cli, evaluate
 
 BENCH_DIR = pathlib.Path(__file__).parent.parent / "bench"
@@ -35,6 +36,18 @@ SPANS = _load_spans()
 def test_every_traced_target_is_a_callable(module_name, fn_name):
     module = importlib.import_module(f"indexcast.{module_name}")
     assert callable(getattr(module, fn_name, None))
+
+
+def test_workload_imports_load_every_traced_module():
+    # the tracer finds its modules in sys.modules when it is installed, and
+    # the workloads import only these two; the package loads its submodules
+    # lazily, so a module neither of them imports would not be traced
+    names = sorted({m for m, _, _ in SPANS.TARGETS} | {m for m, _ in SPANS.OPTIMIZERS})
+    script = ("import sys\n"
+              "from indexcast import cli, evaluate\n"
+              f"print([m for m in {names!r} if 'indexcast.' + m not in sys.modules])\n")
+    done = fresh_python(script)
+    assert (done.stdout, done.stderr) == ("[]\n", "")
 
 
 @pytest.mark.parametrize("module_name", [m for m, _ in SPANS.OPTIMIZERS])

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import sys
+
+import pytest
 
 import indexcast
 
@@ -24,6 +27,23 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(indexcast.__all__) == PUBLIC_NAMES
+
+
+def test_package_surface():
+    namespace = {}
+    exec("from indexcast import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(indexcast))
+    for name in PUBLIC_NAMES:
+        value = getattr(indexcast, name)
+        # MONTH_ABBR, a tuple, names no module
+        home = sys.modules[getattr(value, "__module__", "indexcast.series")]
+        assert getattr(home, name) is value
+    # read through to the home module every time, never stored in the
+    # package, so a function replaced there is replaced here too
+    assert not set(PUBLIC_NAMES) & set(vars(indexcast))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        indexcast.no_such_name
 
 # the public methods and properties of each exported class, dataclass fields
 # aside; every class not listed here has none
