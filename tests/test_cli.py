@@ -337,6 +337,14 @@ class TestForecast:
         assert lines[1].startswith("2015-01,10027,")
         assert lines[-1].startswith("# method I:")
 
+    def test_horizon_one_is_usage_error(self, capsys):
+        # one month gives one error, and the summary needs two
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--method", "I", "--input", CD,
+                  "--start", "2010-01", "--horizon", "1"])
+        assert exc.value.code == 2
+        assert "--horizon must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--horizon", "6"],
                                        ["--train-end", "2014-12", "--horizon", "3"]])
     def test_method_three_needs_horizon_twelve(self, extra, capsys):
