@@ -271,6 +271,8 @@ def choose_difference_order(series: MonthlyTimeSeries) -> int:
 
 def _roots_outside_unit_circle(coeffs: Sequence[float]) -> bool:
     """True when 1 + c_1 z + ... + c_k z^k has every root with |z| > 1."""
+    if len(coeffs) <= 1:  # no root, or the one root -1/c_1
+        return all(abs(c) < 1.0 for c in coeffs)
     poly = np.concatenate((np.asarray(coeffs, dtype=float)[::-1], [1.0]))
     return bool(np.all(np.abs(np.roots(poly)) > 1.0))
 

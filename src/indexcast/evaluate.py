@@ -1,11 +1,13 @@
 """Forecast-evaluation protocols and accuracy metrics.
 
 Methods I, II, IV and V pair an engine (Holt-Winters or ARIMA) with a list
-of forecast origins, and one core evaluates them all: it fits once per
-origin on the series up to it and keeps the forecasts at the given steps
-past it.  The fixed-origin protocol (I and IV) is one origin with steps
-1..h; the rolling protocol (II and V) refits before every month, so it is
-h origins with step 1.  Every evaluation month is checked before the first
+of forecast origins, and one core evaluates them all: the engine fits once
+per origin on the series up to it, and the core keeps the forecasts at the
+given steps past it.  The fixed-origin protocol (I and IV) is one origin
+with steps 1..h; the rolling protocol (II and V) refits before every month,
+so it is h origins with step 1.  The Holt-Winters engine fits all the
+origins' windows in one grid pass (see ``holtwinters``); ARIMA selects an
+order on each window.  Every evaluation month is checked before the first
 fit.  Method III forecasts the trend-plus-seasonal aggregate built on the
 decomposed trend, and method VI compares two windows for structural
 stability.  Errors are absolute percentage errors; summary standard
@@ -24,7 +26,7 @@ from .arima import forecast_arima, select_order
 from .decompose import component_percentage, decompose_additive
 from .errors import (InsufficientDataError, NoOverlapError, OutOfRangeError,
                      SeriesTooShortError)
-from .holtwinters import fit_holt_winters, forecast_hw
+from .holtwinters import _fit_windows, fit_holt_winters, forecast_hw
 from .series import METHODS, MonthlyTimeSeries, MonthStamp, slice_window
 
 Engine = Literal["holt_winters", "arima"]
@@ -125,29 +127,31 @@ def _report(method_id, months, actuals, forecasts) -> MethodReport:
                         summarize_errors(r.ape for r in rows))
 
 
-# each engine fits a training series and forecasts h months past its end;
-# the lambdas look the fit functions up at call time, so a wrapper set on
-# this module sees every call
+# each engine takes the series, the ascending origins and h, and returns one
+# forecast path per origin, h months past it, from a fit on the months
+# series.start..origin; Holt-Winters fits every window in one shared grid
+# pass, ARIMA selects an order on each window.  The lambdas look the fit
+# functions up at call time, so a wrapper set on this module sees every call
 _ENGINES = {
-    "holt_winters": lambda train, h: forecast_hw(fit_holt_winters(train), h),
-    "arima": lambda train, h: forecast_arima(select_order(train), h),
+    "holt_winters": lambda series, origins, h: [
+        forecast_hw(model, h) for model in _fit_windows(series, origins)],
+    "arima": lambda series, origins, h: [
+        forecast_arima(select_order(slice_window(series, series.start, origin)), h)
+        for origin in origins],
 }
 
 
 def _evaluate(series: MonthlyTimeSeries, engine: Engine, protocol: str,
               origins, steps) -> MethodReport:
-    # one fit per origin on series.start..origin, kept at `steps` months past
-    # it; every evaluation month is looked up before the first fit
+    # one forecast path per origin, kept at `steps` months past it; every
+    # evaluation month is looked up before the first fit
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     months = [origin.offset(h) for origin in origins for h in steps]
     actuals = [series.values[series.index_of(m)] for m in months]
     _require_two_errors(len(months))
-    forecasts = []
-    for origin in origins:
-        path = _ENGINES[engine](slice_window(series, series.start, origin),
-                                steps[-1])
-        forecasts += [path[h - 1] for h in steps]
+    paths = _ENGINES[engine](series, origins, steps[-1])
+    forecasts = [path[h - 1] for path in paths for h in steps]
     return _report(_METHOD_ID[engine, protocol], months, actuals, forecasts)
 
 

@@ -321,6 +321,13 @@ def _roots_outside_unit_circle(coeffs):
     return bool(np.all(np.abs(np.roots(list(coeffs)[::-1] + [1.0])) > 1.0))
 
 
+@pytest.mark.parametrize("coeffs", [
+    [], *[[c] for c in (0.0, -0.0, 0.99, -0.99, 1.0, -1.0, 1.5, -1.5)]])
+def test_short_polynomials_answer_as_np_roots(coeffs):
+    # zero or one coefficient is decided without np.roots
+    assert arima._roots_outside_unit_circle(coeffs) is _roots_outside_unit_circle(coeffs)
+
+
 def _search_key(model):
     """select_order's ranking key, an unusable fit scoring AICc +inf."""
     o = model.order

@@ -19,6 +19,16 @@ def deterministic_series(n, a=1000.0, b=8.0):
                                    for t in range(n)])
 
 
+def stub_fits(monkeypatch, evaluate):
+    """Record, in place of fitting, every fit entry ``evaluate`` calls:
+    the shared Holt-Winters window fit, the one-window fit and ARIMA
+    order selection."""
+    fits = []
+    for name in ("_fit_windows", "fit_holt_winters", "select_order"):
+        monkeypatch.setattr(evaluate, name, lambda *args: fits.append(args))
+    return fits
+
+
 class TestAbsolutePercentageError:
     def test_published_cells(self):
         assert absolute_percentage_error(10027, 9451) == pytest.approx(5.74, abs=0.01)
@@ -61,9 +71,7 @@ class TestSummarizeErrors:
     def test_single_error_raises_before_any_fit(self, cd_series, monkeypatch,
                                                 engine, protocol):
         from indexcast import evaluate
-        fits = []
-        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
-        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        fits = stub_fits(monkeypatch, evaluate)
         with pytest.raises(InsufficientDataError):
             if protocol == "fixed_horizon_1":
                 run_fixed_origin(cd_series, engine, MonthStamp(2014, 12), 1)
@@ -84,9 +92,7 @@ class TestSummarizeErrors:
         # first evaluation month outside it is named, and an unknown engine
         # is refused before the window is looked at
         from indexcast import evaluate
-        fits = []
-        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
-        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        fits = stub_fits(monkeypatch, evaluate)
         with pytest.raises(error, match=message):
             if protocol == "fixed":
                 run_fixed_origin(cd_series, engine, MonthStamp(2015, 6), 12)
@@ -171,8 +177,7 @@ class TestRolling:
         # every refit runs in the calling process; a caller asking for a
         # pool is told so instead of being run serially
         from indexcast import evaluate
-        fits = []
-        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
+        fits = stub_fits(monkeypatch, evaluate)
         with pytest.raises(ValueError, match="workers"):
             run_rolling(cd_series, "holt_winters", MonthStamp(2015, 1),
                         MonthStamp(2015, 4), workers=2)
@@ -233,9 +238,7 @@ class TestRunMethod:
     def test_bad_request_raises_before_any_fit(self, cd_series, monkeypatch,
                                                method_id, horizon, message):
         from indexcast import evaluate
-        fits = []
-        monkeypatch.setattr(evaluate, "fit_holt_winters", fits.append)
-        monkeypatch.setattr(evaluate, "select_order", fits.append)
+        fits = stub_fits(monkeypatch, evaluate)
         with pytest.raises(ValueError, match=message):
             run_method(cd_series, method_id, MonthStamp(2014, 12), horizon)
         assert fits == []

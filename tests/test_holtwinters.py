@@ -9,7 +9,8 @@ import oracles
 from indexcast import (ComputationError, HoltWintersParams, MonthStamp,
                        SeriesTooShortError, fit_holt_winters, forecast_hw,
                        make_series, one_step_sse, slice_window)
-from indexcast.holtwinters import GRID_POINTS, _run_filter, _state_of
+from indexcast.holtwinters import (GRID_POINTS, _fit_windows, _run_filter,
+                                   _state_of)
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -29,7 +30,7 @@ class TestParams:
 
 def initial_state(series):
     """(level, slope, seasonal[12]) that ``_state_of`` starts the filter from."""
-    return _state_of(series)[2:]
+    return _state_of(series)[2][:3]
 
 
 class TestInitializeState:
@@ -122,6 +123,17 @@ def jump_series(n=60):
                                    for t in range(n)])
 
 
+def grid_axes():
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
+    return [axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij")]
+
+
+def full_run(state, alpha, beta, gamma):
+    """``_run_filter`` from step 12 over all of ``_state_of``'s values."""
+    values, month_idx, start = state
+    return _run_filter(values, month_idx, 12, start, alpha, beta, gamma)
+
+
 class TestGridCall:
     """The grid scores all triples in one array call of the float filter."""
 
@@ -130,14 +142,12 @@ class TestGridCall:
         # the reference: one float call per triple, in lexicographic order
         points = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
         triples = [(a, b, g) for a in points for b in points for g in points]
-        return triples, [_run_filter(*state, *abg)[0] for abg in triples]
+        return triples, [full_run(state, *abg)[3] for abg in triples]
 
     def grid_sse_hex(self, series):
         state = _state_of(series)
-        grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        abg = [axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij")]
         with np.errstate(over="ignore", invalid="ignore"):
-            array_sse = _run_filter(*state, *abg)[0]
+            array_sse = full_run(state, *grid_axes())[3]
         _, float_sse = self.float_grid_sse(state)
         return [float(v).hex() for v in array_sse], [v.hex() for v in float_sse]
 
@@ -191,9 +201,10 @@ class TestGridCall:
         from indexcast import holtwinters
         points = np.linspace(0.0, 1.0, GRID_POINTS).tolist()
 
-        def surface(values, month_idx, level0, slope0, seasonal0, alpha, beta, gamma):
+        def surface(values, month_idx, start, state, alpha, beta, gamma):
+            level, slope, seasonal, _ = state
             sse = ((alpha - points[3]) * (beta - points[5])) ** 2
-            return sse, level0, slope0, list(seasonal0)
+            return level, slope, list(seasonal), sse
 
         monkeypatch.setattr(holtwinters, "_run_filter", surface)
         model = fit_holt_winters(trend_seasonal_series(100.0, 5.0, 36))
@@ -203,6 +214,37 @@ class TestGridCall:
         array_hex, float_hex = self.grid_sse_hex(jump_series())
         assert array_hex == float_hex
         assert 0 < float_hex.count("inf") < len(float_hex)
+
+    @pytest.mark.parametrize("sector", ["CD", "SC", "seeded", "jump"])
+    def test_resumed_pass_equals_one_full_pass(self, sector, cd_series,
+                                               sc_series):
+        # the grid run on through each end in turn holds, at every end, the
+        # state of one pass from step 12 over that window, bit for bit; an
+        # sse returned at an end is not changed by the segments after it
+        series = {"CD": cd_series, "SC": sc_series,
+                  "seeded": seeded_series(5, 120), "jump": jump_series()}[sector]
+        values, month_idx, start = _state_of(series)
+        abg = grid_axes()
+        stops = [25, 26, 27, 37, 48, 49, len(series) - 1, len(series)]
+
+        def state_hex(state):
+            level, slope, seasonal, sse = state
+            return [[float(v).hex() for v in part]
+                    for part in (level, slope, *seasonal, sse)]
+
+        resumed, returned_sse, state, resume = [], [], start, 12
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stop in stops:
+                state = _run_filter(values[:stop], month_idx[:stop], resume,
+                                    state, *abg)
+                resume = stop
+                resumed.append(state_hex(state))
+                returned_sse.append(state[3])
+            full = [state_hex(_run_filter(values[:stop], month_idx[:stop], 12,
+                                          start, *abg)) for stop in stops]
+        assert resumed == full
+        assert [[float(v).hex() for v in sse] for sse in returned_sse] == [
+            hexes[-1] for hexes in full]
 
 
 class TestFit:
@@ -303,6 +345,61 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(ComputationError, match="not finite"):
                 fit_holt_winters(series)
+
+
+def window_fits(series, ends):
+    """The reference: one ``fit_holt_winters`` per training window."""
+    return [fit_holt_winters(slice_window(series, series.start, end))
+            for end in ends]
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # the error type and text are compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestSharedFit:
+    """One grid pass through every end fits each window as a fit of it alone."""
+
+    def assert_same_models(self, series, ends):
+        shared = _fit_windows(series, ends)
+        alone = window_fits(series, ends)
+        assert [repr(m) for m in shared] == [repr(m) for m in alone]
+        assert shared == alone
+
+    @pytest.mark.parametrize("sector", ["CD", "SC"])
+    def test_method_ii_windows(self, sector, cd_series, sc_series):
+        series = {"CD": cd_series, "SC": sc_series}[sector]
+        self.assert_same_models(
+            series, [MonthStamp(2014, 12).offset(k) for k in range(12)])
+
+    @pytest.mark.parametrize("seed, n", [(6, 48), (7, 97), (8, 240)])
+    def test_seeded_windows_from_25_months(self, seed, n):
+        series = seeded_series(seed, n)
+        stops = sorted({25, 26, 27, 36, (n + 25) // 2, n - 13, n - 1, n})
+        self.assert_same_models(
+            series, [series.start.offset(stop - 1) for stop in stops])
+
+    def test_24_month_first_window_is_refused_alike(self, cd_series):
+        ends = [cd_series.start.offset(23), cd_series.start.offset(30)]
+        error = raised(lambda: _fit_windows(cd_series, ends))
+        assert error == raised(lambda: window_fits(cd_series, ends))
+        assert error == (SeriesTooShortError,
+                         "scoring needs at least 25 months, got 24")
+
+    def test_first_overflowing_end_raises_alike(self):
+        # every one-step error from month 41 on squares past the float
+        # range, so windows of 40 months fit and longer ones overflow
+        base = trend_seasonal_series(500.0, 3.0, 40).values
+        series = make_series("2010-01", base + (1e200,) * 20)
+        ends = [series.start.offset(stop - 1) for stop in (30, 40, 41, 50)]
+        window_fits(series, ends[:2])
+        error = raised(lambda: _fit_windows(series, ends))
+        assert error == raised(lambda: window_fits(series, ends))
+        assert error[0] is ComputationError and "not finite" in error[1]
 
 
 class TestForecast:
