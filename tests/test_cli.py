@@ -20,6 +20,13 @@ CD = str(DATA_DIR / "consumer_durables_monthly.txt")
 SC = str(DATA_DIR / "small_cap_monthly.txt")
 
 
+def test_import_leaves_scipy_out():
+    # only an ARIMA fit needs scipy, so a CLI call that fits no ARIMA model
+    # must not pay for it
+    check = "import sys, indexcast.cli; sys.exit('scipy' in sys.modules)"
+    assert fresh_python(check).returncode == 0
+
+
 def test_arima_forecast_loads_no_scipy_signal():
     # method IV fits through scipy's C filter alone: the whole run, output
     # included, never imports scipy.signal (nor scipy.optimize and
@@ -40,9 +47,7 @@ def test_arima_forecast_loads_no_scipy_signal():
 
 def test_commands_that_compute_nothing_load_no_numpy(tmp_path):
     # ingest, help and usage errors run in plain Python: the package and
-    # the CLI import no model, and neither numpy nor scipy (only an ARIMA
-    # fit needs scipy, so a CLI call that fits no ARIMA model must not pay
-    # for it)
+    # the CLI import no model, and neither numpy nor scipy
     daily = tmp_path / "daily.csv"
     daily.write_text("date,value\n2010-01-04,1.5\n2010-02-01,2.5\n")
     script = f"""
