@@ -113,9 +113,7 @@ def cmd_compare(args, parser):
     from .evaluate import compare_hypotheses
     series_1 = _load_series(parser, args.input, args.format, args.start)
     series_2 = _load_series(parser, args.input2, args.format2 or args.format,
-                            args.start2 or args.start,
-                            "--start" if args.start and not args.start2
-                            else "--start2")
+                            args.start2 or args.start, "--start2")
     if args.plot and series_1.months() != series_2.months():
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
@@ -130,7 +128,10 @@ def cmd_compare(args, parser):
     return 0
 
 
-def _add_common(sub, table=False):
+def _add_command(subs, name, func, summary, table=False):
+    """A subparser with the common flags that runs ``func(args, itself)``,
+    so a usage error names its subcommand."""
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
                      default="values", help="input format (default: values)")
@@ -142,6 +143,8 @@ def _add_common(sub, table=False):
                          default="text")
     sub.add_argument("--precision", choices=["display", "full"],
                      default="display")
+    sub.set_defaults(func=func, parser=sub)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,41 +153,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decompose and forecast monthly financial index series.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("ingest", help="aggregate input into a monthly values file")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest, parser=p)
+    _add_command(subs, "ingest", cmd_ingest, "aggregate input into a monthly values file")
 
-    p = subs.add_parser("decompose", help="trend/seasonal/random decomposition")
-    _add_common(p, table=True)
+    p = _add_command(subs, "decompose", cmd_decompose,
+                     "trend/seasonal/random decomposition", table=True)
     p.add_argument("--plot", help="write a four-panel SVG here")
-    p.set_defaults(func=cmd_decompose, parser=p)
 
-    p = subs.add_parser("forecast", help="run one of the evaluation methods I..V")
-    _add_common(p, table=True)
+    p = _add_command(subs, "forecast", cmd_forecast,
+                     "run one of the evaluation methods I..V", table=True)
     p.add_argument("--method", choices=list(METHODS), required=True)
     p.add_argument("--train-end", type=_month, help="last training month "
                    "YYYY-MM (default: horizon months before the end)")
     p.add_argument("--horizon", type=int, default=12,
                    help="months to evaluate, at least 2 (default 12); "
                         "method III always covers 12")
-    p.set_defaults(func=cmd_forecast, parser=p)
 
-    p = subs.add_parser("stability", help="two-window trend+seasonal comparison")
-    _add_common(p, table=True)
+    p = _add_command(subs, "stability", cmd_stability,
+                     "two-window trend+seasonal comparison", table=True)
     p.add_argument("--window-a", type=_window,
                    help="YYYY-MM:YYYY-MM (default: all but last year)")
     p.add_argument("--window-b", type=_window,
                    help="YYYY-MM:YYYY-MM (default: all but first year)")
-    p.set_defaults(func=cmd_stability, parser=p)
 
-    p = subs.add_parser("compare", help="seasonal/random hypothesis check on two series")
-    _add_common(p)
+    p = _add_command(subs, "compare", cmd_compare,
+                     "seasonal/random hypothesis check on two series")
     p.add_argument("--input2", required=True, help="second input file")
     p.add_argument("--format2", choices=["values", "daily_csv"],
                    help="second input format (default: --format)")
     p.add_argument("--start2", type=_month, help="second start month (default: --start)")
     p.add_argument("--plot", help="write seasonal/random overlay SVG here")
-    p.set_defaults(func=cmd_compare, parser=p)
     return parser
 
 

@@ -176,7 +176,8 @@ def run_rolling(series: MonthlyTimeSeries, engine: Engine,
     For each month m in the window, the model trains on everything up to
     m-1; the ARIMA engine re-runs order selection every month.  The refits
     run one after another in the calling process.  `workers` is kept only
-    for callers that still pass 1; any other value raises ValueError.  A
+    for callers that still pass 1, of which ``bench/workloads.py`` is the
+    one left (ROADMAP item 2); any other value raises ValueError.  A
     one-month window cannot be summarized and raises InsufficientDataError
     before any fit.
     """

@@ -81,9 +81,10 @@ def _run_filter(values, month_idx, start, state, alpha, beta, gamma):
     ``state`` is the (level, slope, seasonal, sse) the recursions stand in
     before step ``start``; the state after the last step, len(values) - 1,
     is returned, so a run can stop at the end of one training window and
-    resume for a longer one.  Steps 12..23 warm up; from step 24 on each
-    squared one-step error is added to sse.  A run from step 12 starts in
-    the state ``_state_of`` gives.
+    resume for a longer one.  One loop runs every step: steps 12..23 warm
+    up, and from step 24 on each squared one-step error is added to sse
+    before the state moves on.  A run from step 12 starts in the state
+    ``_state_of`` gives.
 
     The body uses only ``+ - *`` and list indexing, so the constants may be
     plain floats (one triple: the refine, ``one_step_sse`` and the final
@@ -96,19 +97,12 @@ def _run_filter(values, month_idx, start, state, alpha, beta, gamma):
     level, slope, seasonal, sse = state
     seasonal = list(seasonal)
     keep_level, keep_slope, keep_seasonal = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
-    n = len(values)
-    for t in range(start, min(24, n)):
+    for t in range(start, len(values)):
         m = month_idx[t]
         y, s_prev, level_ahead = values[t], seasonal[m], level + slope
-        new_level = alpha * (y - s_prev) + keep_level * level_ahead
-        slope = beta * (new_level - level) + keep_slope * slope
-        seasonal[m] = gamma * (y - new_level) + keep_seasonal * s_prev
-        level = new_level
-    for t in range(max(start, 24), n):
-        m = month_idx[t]
-        y, s_prev, level_ahead = values[t], seasonal[m], level + slope
-        err = y - (level_ahead + s_prev)
-        sse = sse + err * err
+        if t >= 24:
+            err = y - (level_ahead + s_prev)
+            sse = sse + err * err
         new_level = alpha * (y - s_prev) + keep_level * level_ahead
         slope = beta * (new_level - level) + keep_slope * slope
         seasonal[m] = gamma * (y - new_level) + keep_seasonal * s_prev

@@ -52,22 +52,24 @@ def _emit(header, rows, fmt):
     raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _month_table(months, columns, fmt, precision):
+    """Year and month cells, then one cell per (header, kind, values) column.
+
+    The month is a number in CSV and an abbreviation otherwise.
+    """
+    cells = [[_fmt(v, kind, precision) for v in values] for _, kind, values in columns]
+    names = [m.month if fmt == "csv" else MONTH_ABBR[m.month_index] for m in months]
+    return _emit(["year", "month"] + [header for header, _, _ in columns],
+                 zip([m.year for m in months], names, *cells), fmt)
+
+
 def render_decomposition(result: DecompositionResult, fmt: str = "text",
                          precision: str = "display") -> str:
     """Year/month/aggregate/trend/seasonal/random table, blanks where undefined."""
-    rows = []
-    for i, stamp in enumerate(result.source.months()):
-        month = stamp.month if fmt == "csv" else MONTH_ABBR[stamp.month_index]
-        rows.append([
-            stamp.year,
-            month,
-            _fmt(result.source.values[i], LEVEL, precision),
-            _fmt(result.trend[i], LEVEL, precision),
-            _fmt(result.seasonal[i], LEVEL, precision),
-            _fmt(result.random[i], LEVEL, precision),
-        ])
-    return _emit(["year", "month", "aggregate", "trend", "seasonal", "random"],
-                 rows, fmt)
+    return _month_table(result.source.months(), [
+        ("aggregate", LEVEL, result.source.values), ("trend", LEVEL, result.trend),
+        ("seasonal", LEVEL, result.seasonal), ("random", LEVEL, result.random),
+    ], fmt, precision)
 
 
 def render_method_report(report: MethodReport, fmt: str = "text",
@@ -89,18 +91,15 @@ def render_method_report(report: MethodReport, fmt: str = "text",
 def render_stability(rows: tuple[StabilityRow, ...], fmt: str = "text",
                      precision: str = "display") -> str:
     """Two-window trend/seasonal/sum columns plus the signed variation."""
-    table = [[r.month.year,
-              r.month.month if fmt == "csv" else MONTH_ABBR[r.month.month_index],
-              _fmt(r.trend_a, LEVEL, precision),
-              _fmt(r.seasonal_a, LEVEL, precision),
-              _fmt(r.sum_a, LEVEL, precision),
-              _fmt(r.trend_b, LEVEL, precision),
-              _fmt(r.seasonal_b, LEVEL, precision),
-              _fmt(r.sum_b, LEVEL, precision),
-              _fmt(r.variation_pct, PERCENT, precision)] for r in rows]
-    return _emit(["year", "month", "trend_1", "seasonal_1", "sum_1",
-                  "trend_2", "seasonal_2", "sum_2", "variation_pct"],
-                 table, fmt)
+    return _month_table([r.month for r in rows], [
+        ("trend_1", LEVEL, [r.trend_a for r in rows]),
+        ("seasonal_1", LEVEL, [r.seasonal_a for r in rows]),
+        ("sum_1", LEVEL, [r.sum_a for r in rows]),
+        ("trend_2", LEVEL, [r.trend_b for r in rows]),
+        ("seasonal_2", LEVEL, [r.seasonal_b for r in rows]),
+        ("sum_2", LEVEL, [r.sum_b for r in rows]),
+        ("variation_pct", PERCENT, [r.variation_pct for r in rows]),
+    ], fmt, precision)
 
 
 def render_hypotheses(report: HypothesisReport, precision: str = "display") -> str:

@@ -21,6 +21,8 @@ class TestOrder:
         with pytest.raises(ValueError):
             ArimaOrder(6, 1, 0)
         with pytest.raises(ValueError):
+            ArimaOrder(0, 1, 6)
+        with pytest.raises(ValueError):
             ArimaOrder(0, 3, 0)
         with pytest.raises(ValueError):
             ArimaOrder(0, 0, 1, drift=True)
@@ -314,6 +316,10 @@ class TestChooseDifferenceOrder:
         rng = np.random.default_rng(17)
         s = make_series("2010-01", rng.normal(0, 1, 60))
         assert choose_difference_order(s) == 0
+
+    def test_one_month_needs_no_difference(self):
+        # one value has no lag-1 pair and no difference to compare with
+        assert choose_difference_order(make_series("2010-01", [100.0])) == 0
 
 
 def _roots_outside_unit_circle(coeffs):

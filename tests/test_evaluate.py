@@ -79,6 +79,15 @@ class TestSummarizeErrors:
                 run_rolling(cd_series, engine, MonthStamp(2015, 1), MonthStamp(2015, 1))
         assert fits == []
 
+    @pytest.mark.parametrize("engine", ["holt_winters", "arima"])
+    def test_horizon_zero_raises_before_any_fit(self, cd_series, monkeypatch,
+                                                engine):
+        from indexcast import evaluate
+        fits = stub_fits(monkeypatch, evaluate)
+        with pytest.raises(ValueError, match="^horizon must be >= 1, got 0$"):
+            run_fixed_origin(cd_series, engine, MonthStamp(2014, 12), 0)
+        assert fits == []
+
     @pytest.mark.parametrize("protocol", ["fixed", "rolling"])
     @pytest.mark.parametrize("engine, error, message", [
         ("holt_winters", OutOfRangeError, "^2016-01 outside series span"),

@@ -73,6 +73,14 @@ class TestRenderStability:
         assert float(octs[0][-1]) == pytest.approx(-4.01, abs=0.05)
 
 
+def test_unknown_output_format_is_refused(cd_series):
+    for render, table in ((render_decomposition, decompose_additive(cd_series)),
+                          (render_method_report, small_report()),
+                          (render_stability, structural_stability(cd_series))):
+        with pytest.raises(ValueError, match="^unknown output format 'html'$"):
+            render(table, "html")
+
+
 class TestRenderHypotheses:
     def test_verdict_lines(self, cd_series, sc_series):
         from indexcast import compare_hypotheses
