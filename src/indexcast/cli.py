@@ -2,10 +2,13 @@
 
 Subcommands: ``ingest`` (daily CSV or values file to a monthly values
 file), ``decompose``, ``forecast`` (methods I-V), ``stability`` (two-window
-comparison), and ``compare`` (two-series hypothesis check).  Exit codes:
-0 success, 2 usage error, 3 data error, 4 computation error (also when a
-command that computes runs without numpy, or an ARIMA method without
-scipy: one ``computation error: ...`` line on stderr).
+comparison), and ``compare`` (two-series hypothesis check).  Each command
+loads its input, computes, and writes its text to stdout, or to ``--out``
+when given, through one writer; it returns nothing.  ``main`` alone sets
+the exit code: 0 when the command returns, 2 usage error (from argparse),
+3 data error, 4 computation error (also when a command that computes runs
+without numpy, or an ARIMA method without scipy: one
+``computation error: ...`` line on stderr).
 
 Each command that computes imports its models when it runs, so
 ``ingest``, ``--help`` and a usage error load no numpy.
@@ -18,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import ComputationError, DataError, MissingStartError
-from .fileio import read_daily_csv, read_values_file, values_text, write_values_file
+from .fileio import read_daily_csv, read_values_file, values_text
 from .render import (render_decomposition, render_hypotheses,
                      render_method_report, render_stability)
 from .series import METHODS, MonthStamp, MonthlyTimeSeries
@@ -63,21 +66,16 @@ def _write_plot(path, panels, months, title):
     Path(path).write_text(chart, encoding="utf-8")
 
 
-def cmd_ingest(args, parser):
-    series = _load_series(parser, args.input, args.format, args.start)
-    full_precision = args.precision == "full"
-    if args.out:
-        write_values_file(args.out, series, full_precision)
-    else:
-        sys.stdout.write(values_text(series, full_precision))
+def cmd_ingest(args):
+    series = _load_series(args.parser, args.input, args.format, args.start)
+    _write_output(args, values_text(series, args.precision == "full"))
     sys.stderr.write(f"ingested {len(series)} months "
                      f"{series.start}..{series.end}\n")
-    return 0
 
 
-def cmd_decompose(args, parser):
+def cmd_decompose(args):
     from .decompose import decompose_additive
-    series = _load_series(parser, args.input, args.format, args.start)
+    series = _load_series(args.parser, args.input, args.format, args.start)
     result = decompose_additive(series)
     _write_output(args, render_decomposition(result, args.output_format,
                                              args.precision))
@@ -86,33 +84,30 @@ def cmd_decompose(args, parser):
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
         _write_plot(args.plot, panels, series.months(), "additive decomposition")
-    return 0
 
 
-def cmd_forecast(args, parser):
+def cmd_forecast(args):
     if args.horizon < 2 or (args.method == "III" and args.horizon != 12):
-        parser.error(f"--horizon must be at least 2 (the error summary needs two "
-                     f"months) and 12 for method III, got {args.horizon}")
+        args.parser.error(f"--horizon must be at least 2 (the error summary needs "
+                          f"two months) and 12 for method III, got {args.horizon}")
     from .evaluate import run_method
-    series = _load_series(parser, args.input, args.format, args.start)
+    series = _load_series(args.parser, args.input, args.format, args.start)
     report = run_method(series, args.method, args.train_end, args.horizon)
     _write_output(args, render_method_report(report, args.output_format,
                                              args.precision))
-    return 0
 
 
-def cmd_stability(args, parser):
+def cmd_stability(args):
     from .evaluate import structural_stability
-    series = _load_series(parser, args.input, args.format, args.start)
+    series = _load_series(args.parser, args.input, args.format, args.start)
     rows = structural_stability(series, args.window_a, args.window_b)
     _write_output(args, render_stability(rows, args.output_format, args.precision))
-    return 0
 
 
-def cmd_compare(args, parser):
+def cmd_compare(args):
     from .evaluate import compare_hypotheses
-    series_1 = _load_series(parser, args.input, args.format, args.start)
-    series_2 = _load_series(parser, args.input2, args.format2 or args.format,
+    series_1 = _load_series(args.parser, args.input, args.format, args.start)
+    series_2 = _load_series(args.parser, args.input2, args.format2 or args.format,
                             args.start2 or args.start, "--start2")
     if args.plot and series_1.months() != series_2.months():
         raise DataError("--plot needs both inputs over the same months")
@@ -125,12 +120,13 @@ def cmd_compare(args, parser):
                       ("seasonal", report.seasonal_pct_1, report.seasonal_pct_2),
                       ("random", report.random_pct_1, report.random_pct_2))]
         _write_plot(args.plot, panels, series_1.months(), "component comparison")
-    return 0
 
 
 def _add_command(subs, name, func, summary, table=False):
-    """A subparser with the common flags that runs ``func(args, itself)``,
-    so a usage error names its subcommand."""
+    """A subparser with the common flags that runs ``func(args)``.
+
+    The subparser is ``args.parser``, so a usage error names its subcommand.
+    """
     sub = subs.add_parser(name, help=summary)
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
@@ -189,7 +185,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        args.func(args)
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 3
@@ -202,6 +198,7 @@ def main(argv=None) -> int:
             ImportError) as exc:
         sys.stderr.write(f"computation error: {exc}\n")
         return 4
+    return 0
 
 
 def entrypoint():

@@ -17,7 +17,6 @@ I-V by its id in ``METHODS``.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Literal
@@ -201,16 +200,26 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     training seasonal index forms the forecast sum.  The actual sum is the
     full series' trend plus seasonal index over the same months, so its
     trend must be defined through the last of them: the series must extend
-    6 months past the window, which is checked before the fit.
+    6 months past the window, which is checked before the fit.  The trend
+    lacks the window's first and last 6 months and Holt-Winters needs 25,
+    so a window under 37 months raises SeriesTooShortError naming both
+    lengths.
     """
-    train_dec = decompose_additive(slice_window(series_full, series_full.start, train_end))
+    train = slice_window(series_full, series_full.start, train_end)
+    train_dec = decompose_additive(train)
     train_trend = train_dec.trend_series()
     eval_months = [train_trend.end.offset(h) for h in range(1, 13)]
     full_dec = decompose_additive(series_full)
     full_trend = full_dec.trend_series()
     if full_trend.end < eval_months[-1]:  # the actual sums need the trend there
         raise OutOfRangeError(f"the trend ends at {full_trend.end}, before {eval_months[-1]}")
-    trend_fc = forecast_hw(fit_holt_winters(train_trend), 12)
+    try:
+        trend_fc = forecast_hw(fit_holt_winters(train_trend), 12)
+    except SeriesTooShortError:  # name the window the user gave, not its trend
+        raise SeriesTooShortError(
+            f"method III needs at least 37 training months, whose trend has the "
+            f"25 that Holt-Winters needs; got {len(train)} months with a "
+            f"{len(train_trend)}-month trend") from None
     actuals = [full_trend.values[full_trend.index_of(m)]
                + full_dec.seasonal_index_for(m) for m in eval_months]
     forecasts = [f + train_dec.seasonal_index_for(m) for m, f in zip(eval_months, trend_fc)]
@@ -290,8 +299,7 @@ def structural_stability(series_full: MonthlyTimeSeries,
 
 
 def _amplitude(percentages) -> float:
-    defined = [abs(v) for v in percentages if v is not None]
-    return math.fsum(defined) / len(defined)
+    return statistics.fmean(abs(v) for v in percentages if v is not None)
 
 
 def compare_hypotheses(series_1: MonthlyTimeSeries,

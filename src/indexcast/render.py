@@ -17,8 +17,9 @@ if TYPE_CHECKING:  # annotations only: rendering a table loads no numpy
     from .decompose import DecompositionResult
     from .evaluate import HypothesisReport, MethodReport, StabilityRow
 
-LEVEL = "level"      # index points: integers on display
-PERCENT = "percent"  # percentages: 2 decimals on display
+# each display kind is its display format string
+LEVEL = "{:.0f}"    # index points: integers
+PERCENT = "{:.2f}"  # percentages: 2 decimals
 
 
 def _fmt(value, kind, precision):
@@ -26,9 +27,7 @@ def _fmt(value, kind, precision):
         return ""
     if precision == "full":
         return repr(float(value))
-    if kind is LEVEL:
-        return f"{value:.0f}"
-    return f"{value:.2f}"
+    return kind.format(value)
 
 
 def _emit(header, rows, fmt):

@@ -166,6 +166,24 @@ def test_usage_error_names_its_subcommand(capsys, argv, message):
     assert err.endswith(f"\nindexcast {argv[0]}: error: {message}\n")
 
 
+_TABLE_COMMANDS = [["decompose"], ["forecast", "--method", "I"], ["stability"]]
+
+
+@pytest.mark.parametrize("precision", ["display", "full"])
+@pytest.mark.parametrize("argv", [
+    *[[*command, "--output-format", fmt] for command in _TABLE_COMMANDS
+      for fmt in ("text", "csv", "markdown")],
+    ["compare", "--input2", SC],
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "/"))))
+def test_out_file_holds_what_stdout_prints(capsys, tmp_path, argv, precision):
+    argv = [*argv, "--input", CD, "--start", "2010-01", "--precision", precision]
+    target = tmp_path / "out.txt"
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == stdout.encode("utf-8")
+
+
 class TestIngest:
     def test_daily_csv_to_values_round_trip(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"
@@ -424,6 +442,18 @@ class TestForecast:
         assert code == 0
         snapshot = SNAPSHOT_DIR / f"method_{sector}_{method}.csv"
         assert out.encode("utf-8") == snapshot.read_bytes()
+
+    def test_method_three_too_short_names_the_window(self, capsys):
+        # 36 training months leave a 24-month trend, one short of the 25
+        # that the Holt-Winters fit needs
+        code, out, err = run_cli(capsys, "forecast", "--method", "III",
+                                 "--input", CD, "--start", "2010-01",
+                                 "--train-end", "2012-12")
+        assert (code, out) == (4, "")
+        assert err == ("computation error: method III needs at least 37 "
+                       "training months, whose trend has the 25 that "
+                       "Holt-Winters needs; got 36 months with a 24-month "
+                       "trend\n")
 
     def test_method_three_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "forecast", "--method", "III",

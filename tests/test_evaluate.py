@@ -235,6 +235,15 @@ class TestTrendSeasonal:
         with pytest.raises(SeriesTooShortError):
             run_trend_seasonal(series, series.start.offset(35))
 
+    def test_too_short_window_names_its_length(self, cd_series):
+        # the error names the window the caller gave, not the trend that
+        # Holt-Winters fits
+        with pytest.raises(SeriesTooShortError, match=(
+                r"^method III needs at least 37 training months, whose trend "
+                r"has the 25 that Holt-Winters needs; got 36 months with a "
+                r"24-month trend$")):
+            run_trend_seasonal(cd_series, MonthStamp(2012, 12))
+
 
 class TestRunMethod:
     @pytest.mark.parametrize("method_id, horizon, message", [
