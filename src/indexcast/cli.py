@@ -11,12 +11,19 @@ without numpy, or an ARIMA method without scipy: one
 ``computation error: ...`` line on stderr).
 
 Each command that computes imports its models when it runs, so
-``ingest``, ``--help`` and a usage error load no numpy.
+``ingest``, ``--help`` and a usage error load no numpy.  The parser is
+built once per process, at the first ``main`` call rather than at import,
+and every later call reuses it.
+
+A ``--start`` (or ``--start2``) given with a daily CSV must name the file's
+first month, as a values file's ``# start`` line must; another month is a
+data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,7 +54,11 @@ def _window(text) -> tuple[MonthStamp, MonthStamp]:
 def _load_series(parser, path, fmt, start: MonthStamp | None,
                  flag="--start") -> MonthlyTimeSeries:
     if fmt == "daily_csv":
-        return read_daily_csv(path)
+        series = read_daily_csv(path)
+        if start not in (None, series.start):
+            raise DataError(f"{path}: first month {series.start} conflicts "
+                            f"with start month {start}")
+        return series
     try:
         return read_values_file(path, start)
     except MissingStartError as exc:
@@ -143,7 +154,10 @@ def _add_command(subs, name, func, summary, table=False):
     return sub
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``indexcast`` parser, built at the first call and then reused:
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="indexcast",
         description="Decompose and forecast monthly financial index series.")

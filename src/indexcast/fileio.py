@@ -4,7 +4,8 @@ Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month comes from the caller or from a
 ``# start YYYY-MM`` line, and the two must agree when both are given.
 Daily CSV: header ``date,value`` with ISO-8601 dates, averaged per calendar
-month; cells may be quoted and columns after ``value`` are ignored.  Both
+month in one pass that parses each row and adds it to its month's running
+total; cells may be quoted and columns after ``value`` are ignored.  Both
 readers skip a leading UTF-8 byte order mark (spreadsheets write one) and
 raise ``DataError`` naming the file on bytes that are not UTF-8.
 """
@@ -17,7 +18,7 @@ import datetime
 import math
 from pathlib import Path
 from .errors import DataError, EmptyInputError, MissingStartError, ParseError
-from .series import MonthlyTimeSeries, MonthStamp, aggregate_daily_to_monthly
+from .series import MonthlyTimeSeries, MonthStamp, _monthly_means
 
 
 @contextlib.contextmanager
@@ -93,60 +94,70 @@ def write_values_file(path: str | Path, series: MonthlyTimeSeries,
     Path(path).write_text(values_text(series, full_precision), encoding="utf-8")
 
 
-def _daily_pairs(rows, path):
-    """The ``(date, value)`` pair of each data row of the ``csv.reader``
-    `rows`, as it is read.
-
-    A row whose first two cells are an ISO date and a finite number is
-    parsed once; any other row is checked again cell by cell, so a blank row
-    is skipped and a bad one raises ``ParseError`` naming the line it ends
-    on, ``rows.line_num``: a quoted cell may span lines.
-    """
-    parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
-    for row in rows:
-        if len(row) > 1:
-            try:
-                date = parse_date(row[0])
-                value = to_float(row[1])
-            except ValueError:
-                pass
-            else:
-                if isfinite(value):
-                    yield date, value
-                    continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < 2:
-            raise ParseError(path, rows.line_num, f"expected 2 columns, got {row!r}")
-        try:
-            date = parse_date(row[0].strip())
-        except ValueError:
-            raise ParseError(path, rows.line_num, f"bad ISO date: {row[0]!r}") from None
-        yield date, _number(row[1], path, rows.line_num)
+def _checked_row(row, path, line_number):
+    """The ``(date, value)`` of a data row checked cell by cell, or None for
+    a blank row: a padded date is stripped, and a short row, a bad date or a
+    value that is not a finite number raises ``ParseError`` at
+    `line_number`."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None
+    if len(row) < 2:
+        raise ParseError(path, line_number, f"expected 2 columns, got {row!r}")
+    try:
+        date = datetime.date.fromisoformat(row[0].strip())
+    except ValueError:
+        raise ParseError(path, line_number, f"bad ISO date: {row[0]!r}") from None
+    return date, _number(row[1], path, line_number)
 
 
 def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     """Read a ``date,value`` CSV with ISO dates into monthly means.
 
-    Rows stream from the file into ``aggregate_daily_to_monthly`` with no
-    list of them in between; the month sums follow file order, so a month
-    whose rows come back later resumes from its total.  A bad row raises
-    ``ParseError`` as it is read, so before any check on the months (a gap,
-    no rows), naming the line the row ends on as counted in the file.
+    One loop parses each row and adds it to a running total for the current
+    month, with no list of rows in between, and sums as
+    ``aggregate_daily_to_monthly`` does: in file order, a month whose rows
+    come back later resuming from its stored total.  A row whose first two
+    cells are an ISO date and a finite number is parsed once; any other row
+    is checked again cell by cell, so a blank row is skipped and a bad one
+    raises ``ParseError`` as it is read, before any check on the months (a
+    gap, no rows), naming the line the row ends on as counted in the file.
     Cells may be quoted, and a quoted cell may span lines; columns after
     ``value`` are ignored.  What ``csv.reader`` itself rejects, such as a
     cell over its field size limit (131,072 characters), is a
     ``ParseError`` too.
     """
+    parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
+    months: dict[tuple[int, int], tuple[float, int]] = {}
+    year = month = None
+    total, count = 0.0, 0
     with _utf8(path, newline="") as handle:
-        reader = csv.reader(handle)
+        rows = csv.reader(handle)
         try:
-            header = next(reader, None)
+            header = next(rows, None)
             if header is None:
                 raise EmptyInputError(f"{path} is empty")
             if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
                 raise ParseError(path, 1,
                                  f"expected header 'date,value', got {header!r}")
-            return aggregate_daily_to_monthly(_daily_pairs(reader, path))
+            for row in rows:
+                try:
+                    date, value = parse_date(row[0]), to_float(row[1])
+                except (IndexError, ValueError):
+                    value = math.nan  # sends the row to the check below
+                if not isfinite(value):
+                    checked = _checked_row(row, path, rows.line_num)
+                    if checked is None:
+                        continue
+                    date, value = checked
+                if date.month != month or date.year != year:
+                    if count:
+                        months[year, month] = (total, count)
+                    year, month = date.year, date.month
+                    total, count = months.get((year, month), (0.0, 0))
+                total += value
+                count += 1
         except csv.Error as exc:
-            raise ParseError(path, reader.line_num, str(exc)) from None
+            raise ParseError(path, rows.line_num, str(exc)) from None
+    if count:
+        months[year, month] = (total, count)
+    return _monthly_means(months)

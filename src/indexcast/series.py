@@ -116,6 +116,10 @@ def aggregate_daily_to_monthly(
     contiguous or sorted.  The checks below run after the last pair, so an
     error the iterable raises comes first.
 
+    This is the pairs API.  ``fileio.read_daily_csv`` sums a file's rows
+    the same way in its own parsing loop, and both end in the same month
+    walk and checks.
+
     Raises:
         EmptyInputError: no observations supplied.
         GapInSeriesError: a month inside the span has no observations.
@@ -132,23 +136,34 @@ def aggregate_daily_to_monthly(
             total, count = months.get((year, month), (0.0, 0))
         total += value
         count += 1
-    if not count:
+    if count:
+        months[year, month] = (total, count)
+    return _monthly_means(months)
+
+
+def _monthly_means(months: dict[tuple[int, int], tuple[float, int]]
+                   ) -> MonthlyTimeSeries:
+    """The gapless series of each month's ``total / count``, from the first
+    to the last ``(year, month)`` key of `months`.
+
+    Raises ``EmptyInputError`` when `months` is empty, ``GapInSeriesError``
+    for a month without a key and ``ComputationError`` for a mean that is
+    not finite.
+    """
+    if not months:
         raise EmptyInputError("no daily observations")
-    months[year, month] = (total, count)
-    first = MonthStamp(*min(months))
-    last = MonthStamp(*max(months))
+    first, last = min(months), max(months)
     values = []
-    for i in range(first.months_until(last) + 1):
-        stamp = first.offset(i)
-        key = (stamp.year, stamp.month)
+    for k in range(first[0] * 12 + first[1] - 1, last[0] * 12 + last[1]):
+        key = (k // 12, k % 12 + 1)
         if key not in months:
-            raise GapInSeriesError(f"no observations in {stamp}")
+            raise GapInSeriesError(f"no observations in {MonthStamp(*key)}")
         total, count = months[key]
         mean = total / count
         if not math.isfinite(mean):
-            raise ComputationError(f"mean of {stamp} is not finite: {mean}")
+            raise ComputationError(f"mean of {MonthStamp(*key)} is not finite: {mean}")
         values.append(mean)
-    return MonthlyTimeSeries(first, tuple(values))
+    return MonthlyTimeSeries(MonthStamp(*first), tuple(values))
 
 
 def slice_window(series: MonthlyTimeSeries, start: MonthStamp,

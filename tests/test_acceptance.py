@@ -10,8 +10,12 @@ purpose; the analysis lives in the decisions ledger and README:
 Criterion 5's anchor check passes on both fixtures because order selection
 is the stepwise search whose picks match the paper's tables: on the
 small-cap window it selects the published (1,1,0).  An exhaustive search
-of the same 72 CSS candidates would select (3,1,2), whose AICc is 9.45
-below the anchor's, so the check fails under a grid search.
+of the same 72 CSS candidates under ``select_order``'s rule would select
+(0,1,4) without drift, whose AICc (729.69) is 2.39 below the anchor's
+(732.08), so the check fails under a grid search.  The six candidates
+with a lower AICc still did not converge, so the rule rejects them: among
+them (3,1,2), at 722.63 with an MA coefficient at the 0.99 bound, and
+(5,1,3) with drift, the lowest at 713.12.
 """
 
 import math

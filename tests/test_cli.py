@@ -166,6 +166,45 @@ def test_usage_error_names_its_subcommand(capsys, argv, message):
     assert err.endswith(f"\nindexcast {argv[0]}: error: {message}\n")
 
 
+def test_parser_is_built_once_at_the_first_call():
+    from indexcast import cli
+    assert cli.build_parser() is cli.build_parser()
+    script = ("import indexcast.cli as cli; "
+              "print(cli.build_parser.cache_info().currsize)")
+    assert fresh_python(script).stdout == "0\n"
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch):
+    # help lines wrap at the terminal width, which COLUMNS fixes for both
+    monkeypatch.setenv("COLUMNS", "80")
+    daily = tmp_path / "daily.csv"
+    daily.write_text("date,value\n2010-01-04,1.5\n2010-03-01,2.5\n")
+    runs = [["--help"],
+            *[[command, "--help"] for command in
+              ("ingest", "decompose", "forecast", "stability", "compare")],
+            ["forecast", "--input", CD, "--method", "VI"],
+            ["ingest", "--input", str(daily), "--format", "daily_csv"]]
+    script = ("import runpy; "
+              "runpy.run_module('indexcast.cli', run_name='__main__')")
+    codes = []
+    for argv in runs:
+        first, second = _in_process(argv), _in_process(argv)
+        done = fresh_python(script, *argv)
+        assert first == second == (done.returncode, done.stdout, done.stderr)
+        codes.append(first[0])
+    assert codes == [0] * 6 + [2, 3]
+
+
 _TABLE_COMMANDS = [["decompose"], ["forecast", "--method", "I"], ["stability"]]
 
 
@@ -216,6 +255,28 @@ class TestIngest:
                                 "--format", "daily_csv")
         assert (got, out) == (code, "")
         assert err.startswith(message)
+
+    @pytest.mark.parametrize("flag", ["--start", "--start2"])
+    @pytest.mark.parametrize("start, code", [("1990-01", 3), ("1995-10", 0)],
+                             ids=["other_month", "first_month"])
+    def test_daily_csv_start_must_be_its_first_month(self, tmp_path, capsys,
+                                                     flag, start, code):
+        daily = tmp_path / "daily.csv"
+        daily.write_text("date,value\n1995-10-03,1.5\n1995-11-01,2.5\n")
+        argv = ["ingest", "--input", str(daily), "--format", "daily_csv"]
+        if flag == "--start2":  # compare reads its second input like ingest
+            argv = ["compare", "--input", CD, "--start", "2010-01",
+                    "--input2", str(daily), "--format2", "daily_csv"]
+        got, out, err = run_cli(capsys, *argv, flag, start)
+        if code == 3:
+            assert (got, out) == (3, "")
+            assert err == (f"data error: {daily}: first month 1995-10 "
+                           "conflicts with start month 1990-01\n")
+        elif flag == "--start":
+            assert (got, out, err) == (0, *run_cli(capsys, *argv)[1:])
+        else:  # read, then refused for its length
+            assert (got, out) == (4, "")
+            assert err.startswith("computation error: ")
 
     def test_values_passthrough(self, capsys):
         code, out, err = run_cli(capsys, "ingest", "--input", CD,
