@@ -4,7 +4,9 @@ Subcommands: ``ingest`` (daily CSV or values file to a monthly values
 file), ``decompose``, ``forecast`` (methods I-V), ``stability`` (two-window
 comparison), and ``compare`` (two-series hypothesis check).  Each command
 loads its input, computes, and writes its text to stdout, or to ``--out``
-when given, through one writer; it returns nothing.  ``main`` alone sets
+when given; it returns nothing.  One writer, ``_write``, writes that text
+and the ``--plot`` SVG of ``decompose`` and ``compare``: as UTF-8 to the
+named file, or to stdout when no file is named.  ``main`` alone sets
 the exit code: 0 when the command returns, 2 usage error (from argparse),
 3 data error, 4 computation error (also when a command that computes runs
 without numpy, or an ARIMA method without scipy: one
@@ -65,21 +67,17 @@ def _load_series(parser, path, fmt, start: MonthStamp | None,
         parser.error(f"{exc}; give {flag} YYYY-MM or a '# start YYYY-MM' line")
 
 
-def _write_output(args, text):
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+def _write(path, text):
+    """Write `text` as UTF-8 to `path`, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _write_plot(path, panels, months, title):
-    chart = render_chart(panels, [str(m) for m in months], title=title)
-    Path(path).write_text(chart, encoding="utf-8")
-
-
 def cmd_ingest(args):
     series = _load_series(args.parser, args.input, args.format, args.start)
-    _write_output(args, values_text(series, args.precision == "full"))
+    _write(args.out, values_text(series, args.precision == "full"))
     sys.stderr.write(f"ingested {len(series)} months "
                      f"{series.start}..{series.end}\n")
 
@@ -88,13 +86,14 @@ def cmd_decompose(args):
     from .decompose import decompose_additive
     series = _load_series(args.parser, args.input, args.format, args.start)
     result = decompose_additive(series)
-    _write_output(args, render_decomposition(result, args.output_format,
-                                             args.precision))
+    _write(args.out, render_decomposition(result, args.output_format,
+                                          args.precision))
     if args.plot:
         panels = [Panel(name, (Line(name, values),)) for name, values in (
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
-        _write_plot(args.plot, panels, series.months(), "additive decomposition")
+        _write(args.plot, render_chart(panels, [str(m) for m in series.months()],
+                                       title="additive decomposition"))
 
 
 def cmd_forecast(args):
@@ -104,15 +103,15 @@ def cmd_forecast(args):
     from .evaluate import run_method
     series = _load_series(args.parser, args.input, args.format, args.start)
     report = run_method(series, args.method, args.train_end, args.horizon)
-    _write_output(args, render_method_report(report, args.output_format,
-                                             args.precision))
+    _write(args.out, render_method_report(report, args.output_format,
+                                          args.precision))
 
 
 def cmd_stability(args):
     from .evaluate import structural_stability
     series = _load_series(args.parser, args.input, args.format, args.start)
     rows = structural_stability(series, args.window_a, args.window_b)
-    _write_output(args, render_stability(rows, args.output_format, args.precision))
+    _write(args.out, render_stability(rows, args.output_format, args.precision))
 
 
 def cmd_compare(args):
@@ -120,17 +119,18 @@ def cmd_compare(args):
     series_1 = _load_series(args.parser, args.input, args.format, args.start)
     series_2 = _load_series(args.parser, args.input2, args.format2 or args.format,
                             args.start2 or args.start, "--start2")
-    if args.plot and series_1.months() != series_2.months():
+    if args.plot and (series_1.start, len(series_1)) != (series_2.start, len(series_2)):
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
-    _write_output(args, render_hypotheses(report, args.precision))
+    _write(args.out, render_hypotheses(report, args.precision))
     if args.plot:
         panels = [Panel(f"{name} component, % of series",
                         (Line("series 1", pct_1), Line("series 2", pct_2)))
                   for name, pct_1, pct_2 in (
                       ("seasonal", report.seasonal_pct_1, report.seasonal_pct_2),
                       ("random", report.random_pct_1, report.random_pct_2))]
-        _write_plot(args.plot, panels, series_1.months(), "component comparison")
+        _write(args.plot, render_chart(panels, [str(m) for m in series_1.months()],
+                                       title="component comparison"))
 
 
 def _add_command(subs, name, func, summary, table=False):
@@ -142,8 +142,8 @@ def _add_command(subs, name, func, summary, table=False):
     sub.add_argument("--input", required=True, help="input data file")
     sub.add_argument("--format", choices=["values", "daily_csv"],
                      default="values", help="input format (default: values)")
-    sub.add_argument("--start", type=_month, help="start month YYYY-MM (values "
-                     "format; default: the file's '# start' line)")
+    sub.add_argument("--start", type=_month, help="start month YYYY-MM (default: a values "
+                     "file's '# start' line); a daily CSV's must be its first month")
     sub.add_argument("--out", help="write output here instead of stdout")
     if table:  # only subcommands that render a table take a table format
         sub.add_argument("--output-format", choices=["text", "csv", "markdown"],
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input2", required=True, help="second input file")
     p.add_argument("--format2", choices=["values", "daily_csv"],
                    help="second input format (default: --format)")
-    p.add_argument("--start2", type=_month, help="second start month (default: --start)")
+    p.add_argument("--start2", type=_month, help="the same for --input2 (default: --start)")
     p.add_argument("--plot", help="write seasonal/random overlay SVG here")
     return parser
 

@@ -3,12 +3,15 @@
 Display precision matches the source tables: index levels round to
 integers and percentages to two decimals.  Full precision renders every
 float with repr so values survive a round trip through re-ingestion.
+
+Every format is one string of cells per row, joined by commas (CSV),
+``|`` (Markdown) or right-justified columns (text).  Joining needs no
+quoting: each cell is a formatted number, a month, or a fixed header, so
+none holds a comma, a quote or a line break.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import TYPE_CHECKING
 
 from .series import MONTH_ABBR
@@ -31,24 +34,19 @@ def _fmt(value, kind, precision):
 
 
 def _emit(header, rows, fmt):
+    table = [header] + [[str(c) for c in row] for row in rows]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(" --- " for _ in header) + "|"]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "text":
-        table = [list(header)] + [[str(c) for c in row] for row in rows]
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        lines = [",".join(r) for r in table]
+    elif fmt == "markdown":
+        lines = ["| " + " | ".join(r) + " |" for r in table]
+        lines.insert(1, "|" + "|".join(" --- " for _ in header) + "|")
+    elif fmt == "text":
+        widths = [max(map(len, column)) for column in zip(*table)]
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip()
                  for r in table]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _month_table(months, columns, fmt, precision):

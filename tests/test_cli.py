@@ -278,6 +278,14 @@ class TestIngest:
             assert (got, out) == (4, "")
             assert err.startswith("computation error: ")
 
+    def test_help_states_the_daily_csv_start_rule(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = _in_process(["ingest", "--help"])
+        assert code == 0
+        assert ("--start START start month YYYY-MM (default: a values file's "
+                "'# start' line); a daily CSV's must be its first month"
+                in " ".join(out.split()))
+
     def test_values_passthrough(self, capsys):
         code, out, err = run_cli(capsys, "ingest", "--input", CD,
                                  "--start", "2010-01")
@@ -610,6 +618,8 @@ class TestCompare:
     @pytest.mark.parametrize("months2", [
         ["--input", "SHORT"],               # 40 months against 72
         ["--input", CD, "--start2", "2011-01"],  # 72 months, a year later
+        ["--input", CD, "--start2", "2009-12"],  # 72 months, a month earlier
+        ["--input", "SHORT", "--start2", "2007-05"],  # 40 and 72, same last month
     ])
     def test_plot_needs_inputs_over_the_same_months(self, months2, capsys,
                                                     tmp_path):

@@ -9,6 +9,7 @@ from indexcast import (MonthStamp, decompose_additive, structural_stability,
 from indexcast.evaluate import ForecastRow, MethodReport
 from indexcast.render import (render_decomposition, render_hypotheses,
                               render_method_report, render_stability)
+from indexcast.series import MONTH_ABBR
 from indexcast.svgchart import Line, Panel, render_chart
 
 
@@ -71,6 +72,44 @@ class TestRenderStability:
         assert len(parsed) == 37
         octs = [r for r in parsed if r[0] == "2011" and r[1] == "10"]
         assert float(octs[0][-1]) == pytest.approx(-4.01, abs=0.05)
+
+
+@pytest.mark.parametrize("precision", ["display", "full"])
+@pytest.mark.parametrize("table", ["decomposition", "stability", "method_report"])
+def test_csv_markdown_and_text_hold_the_same_cells(table, precision, cd_series,
+                                                   sc_series):
+    render, value = {
+        "decomposition": (render_decomposition, decompose_additive(cd_series)),
+        "stability": (render_stability, structural_stability(sc_series)),
+        "method_report": (render_method_report, small_report()),
+    }[table]
+
+    def table_lines(fmt):  # the method report's footer line is not a row
+        lines = render(value, fmt, precision).splitlines()
+        return lines[:-1] if table == "method_report" else lines
+
+    csv_text = "".join(line + "\n" for line in table_lines("csv"))
+    from_csv = list(csv.reader(io.StringIO(csv_text)))
+    # csv.writer quotes only a cell that needs it: equal bytes mean none does
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(from_csv)
+    assert rewritten.getvalue() == csv_text
+    if from_csv[0][1] == "month":  # CSV numbers the months the others name
+        for row in from_csv[1:]:
+            row[1] = MONTH_ABBR[int(row[1]) - 1]
+
+    markdown = table_lines("markdown")
+    assert markdown[1] == "|" + "|".join([" --- "] * len(from_csv[0])) + "|"
+    from_markdown = [[cell.strip() for cell in line.split("|")[1:-1]]
+                     for line in markdown[:1] + markdown[2:]]
+
+    text = table_lines("text")
+    ends = [m.end() for m in re.finditer(r"\S+", text[0])]
+    from_text = [[line[a:b].strip() for a, b in zip([0] + ends, ends)]
+                 for line in text]
+
+    assert len(from_csv) > 2
+    assert from_csv == from_markdown == from_text
 
 
 def test_unknown_output_format_is_refused(cd_series):
