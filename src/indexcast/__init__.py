@@ -30,7 +30,7 @@ _NAMES = {
                  "summarize_errors"),
     "fileio": ("read_daily_csv", "read_values_file", "write_values_file"),
     "holtwinters": ("HoltWintersModel", "HoltWintersParams", "fit_holt_winters",
-                    "forecast_hw", "one_step_sse"),
+                    "forecast_hw"),
     "series": ("MONTH_ABBR", "MonthStamp", "MonthlyTimeSeries",
                "aggregate_daily_to_monthly", "make_series", "slice_window"),
 }

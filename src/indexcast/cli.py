@@ -19,7 +19,8 @@ and every later call reuses it.
 
 A ``--start`` (or ``--start2``) given with a daily CSV must name the file's
 first month, as a values file's ``# start`` line must; another month is a
-data error.
+data error.  ``compare`` takes ``--start`` as the second input's month only
+when that input is a values file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .errors import ComputationError, DataError, MissingStartError
 from .fileio import read_daily_csv, read_values_file, values_text
@@ -68,9 +68,12 @@ def _load_series(parser, path, fmt, start: MonthStamp | None,
 
 
 def _write(path, text):
-    """Write `text` as UTF-8 to `path`, or to stdout when no path is given."""
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
+    """Write `text` as UTF-8 to `path`, or to stdout when no path is given.
+
+    An empty name is a path too, so it fails as an ``OSError`` (exit 3)."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -88,7 +91,7 @@ def cmd_decompose(args):
     result = decompose_additive(series)
     _write(args.out, render_decomposition(result, args.output_format,
                                           args.precision))
-    if args.plot:
+    if args.plot is not None:
         panels = [Panel(name, (Line(name, values),)) for name, values in (
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
@@ -117,13 +120,16 @@ def cmd_stability(args):
 def cmd_compare(args):
     from .evaluate import compare_hypotheses
     series_1 = _load_series(args.parser, args.input, args.format, args.start)
-    series_2 = _load_series(args.parser, args.input2, args.format2 or args.format,
-                            args.start2 or args.start, "--start2")
-    if args.plot and (series_1.start, len(series_1)) != (series_2.start, len(series_2)):
+    # --start is the default month of a second values file; a daily CSV
+    # names its own, which only --start2 is checked against
+    format2 = args.format2 or args.format
+    start2 = args.start2 or (args.start if format2 == "values" else None)
+    series_2 = _load_series(args.parser, args.input2, format2, start2, "--start2")
+    if args.plot is not None and (series_1.start, len(series_1)) != (series_2.start, len(series_2)):
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
     _write(args.out, render_hypotheses(report, args.precision))
-    if args.plot:
+    if args.plot is not None:
         panels = [Panel(f"{name} component, % of series",
                         (Line("series 1", pct_1), Line("series 2", pct_2)))
                   for name, pct_1, pct_2 in (
@@ -190,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input2", required=True, help="second input file")
     p.add_argument("--format2", choices=["values", "daily_csv"],
                    help="second input format (default: --format)")
-    p.add_argument("--start2", type=_month, help="the same for --input2 (default: --start)")
+    p.add_argument("--start2", type=_month, help="the same for --input2 (default: "
+                   "--start, when --input2 is a values file)")
     p.add_argument("--plot", help="write seasonal/random overlay SVG here")
     return parser
 

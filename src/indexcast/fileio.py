@@ -4,8 +4,9 @@ Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month comes from the caller or from a
 ``# start YYYY-MM`` line, and the two must agree when both are given.
 Daily CSV: header ``date,value`` with ISO-8601 dates, averaged per calendar
-month in one pass that parses each row and adds it to its month's running
-total; cells may be quoted and columns after ``value`` are ignored.  Both
+month in one pass that parses each row and adds it to a running total for
+the current month, which only this reader keeps; cells may be quoted and
+columns after ``value`` are ignored.  Both
 readers skip a leading UTF-8 byte order mark (spreadsheets write one) and
 raise ``DataError`` naming the file on bytes that are not UTF-8.
 """
@@ -114,17 +115,18 @@ def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     """Read a ``date,value`` CSV with ISO dates into monthly means.
 
     One loop parses each row and adds it to a running total for the current
-    month, with no list of rows in between, and sums as
-    ``aggregate_daily_to_monthly`` does: in file order, a month whose rows
-    come back later resuming from its stored total.  A row whose first two
-    cells are an ISO date and a finite number is parsed once; any other row
-    is checked again cell by cell, so a blank row is skipped and a bad one
-    raises ``ParseError`` as it is read, before any check on the months (a
-    gap, no rows), naming the line the row ends on as counted in the file.
-    Cells may be quoted, and a quoted cell may span lines; columns after
-    ``value`` are ignored.  What ``csv.reader`` itself rejects, such as a
-    cell over its field size limit (131,072 characters), is a
-    ``ParseError`` too.
+    month, with no list of rows in between, and touches its month dict only
+    when the month changes; a month whose rows come back later resumes from
+    its stored total.  So each month is summed in file order, to the totals
+    ``aggregate_daily_to_monthly`` gives for the same pairs.  A row whose
+    first two cells are an ISO date and a finite number is parsed once; any
+    other row is checked again cell by cell, so a blank row is skipped and a
+    bad one raises ``ParseError`` as it is read, before any check on the
+    months (a gap, no rows), naming the line the row ends on as counted in
+    the file.  Cells may be quoted, and a quoted cell may span lines;
+    columns after ``value`` are ignored.  What ``csv.reader`` itself
+    rejects, such as a cell over its field size limit (131,072 characters),
+    is a ``ParseError`` too.
     """
     parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
     months: dict[tuple[int, int], tuple[float, int]] = {}

@@ -87,12 +87,12 @@ def _run_filter(values, month_idx, start, state, alpha, beta, gamma):
     ``_state_of`` gives.
 
     The body uses only ``+ - *`` and list indexing, so the constants may be
-    plain floats (one triple: the refine, ``one_step_sse`` and the final
-    state) or equal-length numpy arrays (every grid triple at once,
-    elementwise).  Each element goes through the same IEEE operations in
-    the same order either way, and that order fixes the fitted results bit
-    for bit, so keep it.  ``sse = sse + ...`` makes a new array, so the sse
-    of a state already returned is never changed in place.
+    plain floats (one triple: the refine and the final state) or
+    equal-length numpy arrays (every grid triple at once, elementwise).
+    Each element goes through the same IEEE operations in the same order
+    either way, and that order fixes the fitted results bit for bit, so
+    keep it.  ``sse = sse + ...`` makes a new array, so the sse of a state
+    already returned is never changed in place.
     """
     level, slope, seasonal, sse = state
     seasonal = list(seasonal)
@@ -108,11 +108,6 @@ def _run_filter(values, month_idx, start, state, alpha, beta, gamma):
         seasonal[m] = gamma * (y - new_level) + keep_seasonal * s_prev
         level = new_level
     return level, slope, seasonal, sse
-
-
-def _require_scored_month(n: int) -> None:
-    if n < 25:  # months 25..n are scored
-        raise SeriesTooShortError(f"scoring needs at least 25 months, got {n}")
 
 
 def _state_of(series: MonthlyTimeSeries):
@@ -137,19 +132,6 @@ def _state_of(series: MonthlyTimeSeries):
     return series.values, series.month_indices(), (level0, slope0, seasonal0, 0.0)
 
 
-def one_step_sse(series: MonthlyTimeSeries, params: HoltWintersParams) -> float:
-    """Sum of squared one-step errors over observations 25..n.
-
-    Public because it scores any constants from what a user holds, a series
-    and ``HoltWintersParams``, not only fitted ones; it also defines
-    ``HoltWintersModel.sse``, which is this sum at the model's ``params``.
-    """
-    _require_scored_month(len(series))
-    values, month_idx, state = _state_of(series)
-    return _run_filter(values, month_idx, 12, state,
-                       params.alpha, params.beta, params.gamma)[3]
-
-
 def _fit_windows(series: MonthlyTimeSeries, ends) -> list[HoltWintersModel]:
     """One model per training window series.start..end, for ascending ends.
 
@@ -167,7 +149,8 @@ def _fit_windows(series: MonthlyTimeSeries, ends) -> list[HoltWintersModel]:
     calendar month of a final float run over the window.
     """
     stops = [series.index_of(end) + 1 for end in ends]
-    _require_scored_month(stops[0])
+    if stops[0] < 25:  # months 25..n are scored
+        raise SeriesTooShortError(f"scoring needs at least 25 months, got {stops[0]}")
     values, month_idx, start_state = _state_of(series)
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     abg = [axis.ravel() for axis in np.meshgrid(grid, grid, grid, indexing="ij")]

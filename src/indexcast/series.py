@@ -108,17 +108,15 @@ def aggregate_daily_to_monthly(
     """Average ``(date, value)`` pairs into a gapless monthly series.
 
     Each monthly value is the unweighted arithmetic mean of that month's
-    values, summed left to right in the order given.  The pairs are read
-    in one pass and not stored: a running total is kept for the current
-    month, and a month that comes back after another one resumes its sum
-    from its stored total.  The output spans every
+    values, summed left to right in the order given, also when a month's
+    pairs come back after another month's.  The output spans every
     calendar month between the first and the last date; dates need not be
     contiguous or sorted.  The checks below run after the last pair, so an
     error the iterable raises comes first.
 
     This is the pairs API.  ``fileio.read_daily_csv`` sums a file's rows
-    the same way in its own parsing loop, and both end in the same month
-    walk and checks.
+    to the same totals in its own parsing loop, keeping a running total
+    for the current month, and both end in the same month walk and checks.
 
     Raises:
         EmptyInputError: no observations supplied.
@@ -126,18 +124,10 @@ def aggregate_daily_to_monthly(
         ComputationError: a month's mean is not finite (its sum overflows).
     """
     months: dict[tuple[int, int], tuple[float, int]] = {}
-    year = month = None
-    total, count = 0.0, 0
     for date, value in daily:
-        if date.month != month or date.year != year:
-            if count:
-                months[year, month] = (total, count)
-            year, month = date.year, date.month
-            total, count = months.get((year, month), (0.0, 0))
-        total += value
-        count += 1
-    if count:
-        months[year, month] = (total, count)
+        key = date.year, date.month
+        total, count = months.get(key, (0.0, 0))
+        months[key] = (total + value, count + 1)
     return _monthly_means(months)
 
 

@@ -223,6 +223,18 @@ def test_out_file_holds_what_stdout_prints(capsys, tmp_path, argv, precision):
     assert target.read_bytes() == stdout.encode("utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--out", ""],
+    ["decompose", "--out", "REPORT", "--plot", ""],
+], ids=["out", "plot"])
+def test_empty_file_name_is_an_io_error(capsys, tmp_path, argv):
+    # an empty name is a file name that cannot be opened, not "no file"
+    argv = [str(tmp_path / "d.txt") if a == "REPORT" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--input", CD, "--start", "2010-01")
+    assert (code, out) == (3, "")
+    assert err.startswith("io error: ") and "''" in err
+
+
 class TestIngest:
     def test_daily_csv_to_values_round_trip(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"
@@ -679,6 +691,26 @@ class TestCompare:
             assert exc.value.code == 2
             assert (f"{bare} names no start month; give {flag} YYYY-MM or a "
                     "'# start YYYY-MM' line") in capsys.readouterr().err
+
+    def test_start_is_not_the_month_of_a_daily_csv_second_input(
+            self, capsys, tmp_path, cd_series):
+        # --start gives the first input's month; a daily CSV second input
+        # names its own, which --start2 alone is checked against
+        daily = tmp_path / "daily.csv"
+        daily.write_text("date,value\n" + "".join(
+            f"{2011 + t // 12}-{t % 12 + 1:02d}-01,{v!r}\n"
+            for t, v in enumerate(cd_series.values)))
+        _, expected, _ = run_cli(capsys, "compare", "--input", SC,
+                                 "--input2", CD, "--start", "2010-01",
+                                 "--start2", "2011-01", "--precision", "full")
+        argv = ["compare", "--input", SC, "--start", "2010-01", "--input2",
+                str(daily), "--format2", "daily_csv", "--precision", "full"]
+        for start2 in ([], ["--start2", "2011-01"]):
+            assert run_cli(capsys, *argv, *start2) == (0, expected, "")
+        code, out, err = run_cli(capsys, *argv, "--start2", "2010-01")
+        assert (code, out) == (3, "")
+        assert err == (f"data error: {daily}: first month 2011-01 "
+                       "conflicts with start month 2010-01\n")
 
     @pytest.mark.parametrize("starts, flag", [
         (["--start", "2010-01", "--start2", "2010-13"], "--start2"),

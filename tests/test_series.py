@@ -1,10 +1,15 @@
 import datetime
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexcast import (ComputationError, EmptyInputError, GapInSeriesError,
                        MonthStamp, MonthlyTimeSeries, OutOfRangeError,
-                       aggregate_daily_to_monthly, make_series, slice_window)
+                       aggregate_daily_to_monthly, make_series, read_daily_csv,
+                       slice_window)
 
 
 def day(y, m, d, v):
@@ -115,6 +120,32 @@ class TestAggregateDaily:
     def test_span_length(self):
         daily = [day(2010, 1, 20, 1), day(2010, 2, 3, 2), day(2010, 3, 28, 3)]
         assert len(aggregate_daily_to_monthly(daily)) == 3
+
+
+@st.composite
+def month_hopping_pairs(draw):
+    """(date, value) pairs over two to four consecutive months in a drawn
+    order, so a month's pairs come back after another month's; magnitudes
+    up to 1e17, where the order of a sum shows in its rounding."""
+    first = draw(st.integers(1990 * 12, 2030 * 12))
+    months = [divmod(first + k, 12) for k in range(draw(st.integers(2, 4)))]
+    ks = list(range(len(months))) + draw(st.lists(
+        st.integers(0, len(months) - 1), max_size=30))
+    pairs = [(datetime.date(months[k][0], months[k][1] + 1, draw(st.integers(1, 28))),
+              draw(st.floats(-1e17, 1e17))) for k in ks]
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(month_hopping_pairs())
+def test_pairs_api_and_csv_reader_give_the_same_means(pairs):
+    # the reader keeps a running total for the current month, the pairs
+    # API looks up each pair's month: both sum each month in input order
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "daily.csv"
+        path.write_text("date,value\n" + "".join(
+            f"{date.isoformat()},{value!r}\n" for date, value in pairs))
+        assert aggregate_daily_to_monthly(pairs) == read_daily_csv(path)
 
 
 class TestSliceWindow:
