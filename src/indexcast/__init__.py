@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # every public name, by the submodule that defines it
 _NAMES = {
     "arima": ("ArimaModel", "ArimaOrder", "choose_difference_order", "fit_arima",
-              "forecast_arima", "integrate", "select_order"),
+              "forecast_arima", "select_order"),
     "decompose": ("DecompositionResult", "component_percentage",
                   "decompose_additive"),
     "errors": ("ComputationError", "DataError", "EmptyInputError",
@@ -26,8 +26,7 @@ _NAMES = {
     "evaluate": ("ErrorSummary", "ForecastRow", "HypothesisReport",
                  "MethodReport", "StabilityRow", "absolute_percentage_error",
                  "compare_hypotheses", "run_fixed_origin", "run_method",
-                 "run_rolling", "run_trend_seasonal", "structural_stability",
-                 "summarize_errors"),
+                 "run_rolling", "run_trend_seasonal", "structural_stability"),
     "fileio": ("read_daily_csv", "read_values_file", "write_values_file"),
     "holtwinters": ("HoltWintersModel", "HoltWintersParams", "fit_holt_winters",
                     "forecast_hw"),

@@ -25,6 +25,7 @@ scipy's C IIR filter, which is loaded without the rest of ``scipy.signal``
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -98,18 +99,19 @@ class ArimaModel:
     converged: bool = True
 
 
-def integrate(deltas: Sequence[float], anchors: Sequence[float]) -> tuple[float, ...]:
+def _integrate(path: Sequence[float], anchors: Sequence[float]) -> tuple[float, ...]:
     """Undo differencing forward from known values.
 
     ``anchors[k]`` is the most recent value of the k-times-differenced
-    series (k = 0 .. d-1, outermost first); ``deltas`` continue the
+    series (k = 0 .. d-1, outermost first); ``path`` continues the
     d-times-differenced series.  Returns the continuation on the original
-    scale.  With no anchors the deltas are returned unchanged.
+    scale.  With no anchors the path is returned unchanged.  The running
+    sums add from left to right, as ``np.cumsum`` does, so they are its
+    values bit for bit.
     """
-    out = np.asarray(deltas, dtype=float)
-    for anchor in reversed(list(anchors)):
-        out = anchor + np.cumsum(out)
-    return tuple(float(v) for v in out)
+    for anchor in reversed(anchors):
+        path = [anchor + s for s in itertools.accumulate(path)]
+    return tuple(path)
 
 
 @cache
@@ -361,4 +363,4 @@ def forecast_arima(model: ArimaModel, horizon: int) -> tuple[float, ...]:
         z.append(acc)
         resid.append(0.0)
         diff_fc.append(acc + model.drift_value)
-    return integrate(diff_fc, model.level_tails)
+    return _integrate(diff_fc, model.level_tails)

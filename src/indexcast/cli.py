@@ -6,11 +6,12 @@ comparison), and ``compare`` (two-series hypothesis check).  Each command
 loads its input, computes, and writes its text to stdout, or to ``--out``
 when given; it returns nothing.  One writer, ``_write``, writes that text
 and the ``--plot`` SVG of ``decompose`` and ``compare``: as UTF-8 to the
-named file, or to stdout when no file is named.  ``main`` alone sets
-the exit code: 0 when the command returns, 2 usage error (from argparse),
-3 data error, 4 computation error (also when a command that computes runs
-without numpy, or an ARIMA method without scipy: one
-``computation error: ...`` line on stderr).
+named file, or to stdout when no file is named.  The SVG is written
+first, so a chart that cannot be written leaves no report behind.
+``main`` alone sets the exit code: 0 when the command returns, 2 usage
+error (from argparse), 3 data error, 4 computation error (also when a
+command that computes runs without numpy, or an ARIMA method without
+scipy: one ``computation error: ...`` line on stderr).
 
 Each command that computes imports its models when it runs, so
 ``ingest``, ``--help`` and a usage error load no numpy.  The parser is
@@ -89,14 +90,14 @@ def cmd_decompose(args):
     from .decompose import decompose_additive
     series = _load_series(args.parser, args.input, args.format, args.start)
     result = decompose_additive(series)
-    _write(args.out, render_decomposition(result, args.output_format,
-                                          args.precision))
     if args.plot is not None:
         panels = [Panel(name, (Line(name, values),)) for name, values in (
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
         _write(args.plot, render_chart(panels, [str(m) for m in series.months()],
                                        title="additive decomposition"))
+    _write(args.out, render_decomposition(result, args.output_format,
+                                          args.precision))
 
 
 def cmd_forecast(args):
@@ -128,7 +129,6 @@ def cmd_compare(args):
     if args.plot is not None and (series_1.start, len(series_1)) != (series_2.start, len(series_2)):
         raise DataError("--plot needs both inputs over the same months")
     report = compare_hypotheses(series_1, series_2)
-    _write(args.out, render_hypotheses(report, args.precision))
     if args.plot is not None:
         panels = [Panel(f"{name} component, % of series",
                         (Line("series 1", pct_1), Line("series 2", pct_2)))
@@ -137,6 +137,7 @@ def cmd_compare(args):
                       ("random", report.random_pct_1, report.random_pct_2))]
         _write(args.plot, render_chart(panels, [str(m) for m in series_1.months()],
                                        title="component comparison"))
+    _write(args.out, render_hypotheses(report, args.precision))
 
 
 def _add_command(subs, name, func, summary, table=False):

@@ -101,16 +101,10 @@ def absolute_percentage_error(actual: float, forecast: float) -> float:
     return abs(forecast - actual) / abs(actual) * 100.0
 
 
-def _require_two_errors(count: int) -> None:
-    if count < 2:
-        raise InsufficientDataError(
-            f"need at least 2 errors to summarize, got {count}")
-
-
-def summarize_errors(apes) -> ErrorSummary:
-    """Min, max, mean, and sample (n-1) standard deviation."""
+def _summarize_errors(apes) -> ErrorSummary:
+    """Min, max, mean, and sample (n-1) standard deviation of two or more
+    errors; every caller has checked the count."""
     values = [float(v) for v in apes]
-    _require_two_errors(len(values))
     return ErrorSummary(min=min(values), max=max(values),
                         mean=statistics.fmean(values),
                         sd=statistics.stdev(values))
@@ -123,7 +117,7 @@ def _report(method_id, months, actuals, forecasts) -> MethodReport:
             raise ZeroDivisionError(f"actual value is zero at {m}")
         rows.append(ForecastRow(m, a, f, absolute_percentage_error(a, f)))
     return MethodReport(method_id, tuple(rows),
-                        summarize_errors(r.ape for r in rows))
+                        _summarize_errors(r.ape for r in rows))
 
 
 # each engine takes the series, the ascending origins and h, and returns one
@@ -148,7 +142,9 @@ def _evaluate(series: MonthlyTimeSeries, engine: Engine, protocol: str,
         raise ValueError(f"unknown engine {engine!r}")
     months = [origin.offset(h) for origin in origins for h in steps]
     actuals = [series.values[series.index_of(m)] for m in months]
-    _require_two_errors(len(months))
+    if len(months) < 2:
+        raise InsufficientDataError(
+            f"need at least 2 errors to summarize, got {len(months)}")
     paths = _ENGINES[engine](series, origins, steps[-1])
     forecasts = [path[h - 1] for path in paths for h in steps]
     return _report(_METHOD_ID[engine, protocol], months, actuals, forecasts)
@@ -203,9 +199,14 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     6 months past the window, which is checked before the fit.  The trend
     lacks the window's first and last 6 months and Holt-Winters needs 25,
     so a window under 37 months raises SeriesTooShortError naming both
-    lengths.
+    lengths, before anything is decomposed.
     """
     train = slice_window(series_full, series_full.start, train_end)
+    if len(train) < 37:
+        raise SeriesTooShortError(
+            f"method III needs at least 37 training months, whose trend has the "
+            f"25 that Holt-Winters needs; got {len(train)} months with a "
+            f"{max(len(train) - 12, 0)}-month trend")
     train_dec = decompose_additive(train)
     train_trend = train_dec.trend_series()
     eval_months = [train_trend.end.offset(h) for h in range(1, 13)]
@@ -213,13 +214,7 @@ def run_trend_seasonal(series_full: MonthlyTimeSeries,
     full_trend = full_dec.trend_series()
     if full_trend.end < eval_months[-1]:  # the actual sums need the trend there
         raise OutOfRangeError(f"the trend ends at {full_trend.end}, before {eval_months[-1]}")
-    try:
-        trend_fc = forecast_hw(fit_holt_winters(train_trend), 12)
-    except SeriesTooShortError:  # name the window the user gave, not its trend
-        raise SeriesTooShortError(
-            f"method III needs at least 37 training months, whose trend has the "
-            f"25 that Holt-Winters needs; got {len(train)} months with a "
-            f"{len(train_trend)}-month trend") from None
+    trend_fc = forecast_hw(fit_holt_winters(train_trend), 12)
     actuals = [full_trend.values[full_trend.index_of(m)]
                + full_dec.seasonal_index_for(m) for m in eval_months]
     forecasts = [f + train_dec.seasonal_index_for(m) for m, f in zip(eval_months, trend_fc)]

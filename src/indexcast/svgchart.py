@@ -50,9 +50,10 @@ def _segments(values):
         yield run
 
 
-def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
-                 title: str = "") -> str:
-    """Render stacked line-chart panels to an SVG document string."""
+def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
+                 title: str) -> str:
+    """Render stacked line-chart panels to an SVG document string, with
+    `title` above them and `x_labels[i]` under every few points."""
     if not panels:
         raise ValueError("no panels to render")
     n_points = max((len(line.values) for panel in panels for line in panel.lines),
@@ -68,10 +69,9 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
-           '<rect width="100%" height="100%" fill="#ffffff"/>']
-    if title:
-        out.append(f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-                   f'font-size="16" font-family="sans-serif">{_escape(title)}</text>')
+           '<rect width="100%" height="100%" fill="#ffffff"/>',
+           f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+           f'font-size="16" font-family="sans-serif">{_escape(title)}</text>']
     for pi, panel in enumerate(panels):
         top = MARGIN_TOP + pi * PANEL_HEIGHT + 18
         bottom = MARGIN_TOP + (pi + 1) * PANEL_HEIGHT - 14
@@ -116,11 +116,9 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str] | None = None,
                            f'y2="{top + 10}" stroke="{color}" stroke-width="2"/>')
                 out.append(f'<text x="{lx + 22}" y="{top + 14}" font-size="10" '
                            f'font-family="sans-serif">{_escape(line.label)}</text>')
-    if x_labels:
-        step = max(1, n_points // 8)
-        for i in range(0, n_points, step):
-            out.append(f'<text x="{x_px(i):.2f}" y="{height - 10}" '
-                       f'text-anchor="middle" font-size="10" '
-                       f'font-family="sans-serif">{_escape(x_labels[i])}</text>')
+    for i in range(0, n_points, max(1, n_points // 8)):
+        out.append(f'<text x="{x_px(i):.2f}" y="{height - 10}" '
+                   f'text-anchor="middle" font-size="10" '
+                   f'font-family="sans-serif">{_escape(x_labels[i])}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -28,8 +28,10 @@ import oracles
 from indexcast import (ArimaOrder, MonthStamp, compare_hypotheses,
                        decompose_additive, fit_arima,
                        fit_holt_winters, forecast_arima, forecast_hw,
-                       integrate, make_series, structural_stability,
-                       summarize_errors, absolute_percentage_error)
+                       make_series, structural_stability,
+                       absolute_percentage_error)
+from indexcast.arima import _integrate
+from indexcast.evaluate import _summarize_errors
 
 WINDOW_A = (MonthStamp(2010, 1), MonthStamp(2014, 12))
 WINDOW_B = (MonthStamp(2011, 1), MonthStamp(2015, 12))
@@ -163,7 +165,7 @@ def test_criterion_4_metric_reproduction():
         for method, (mn, mx, mean, sd) in summaries.items():
             table = (METHOD_TABLES.get((sector, method))
                      or (g.CD_METHOD_III if sector == "CD" else g.SC_METHOD_III))
-            summary = summarize_errors([row[-1] for row in table])
+            summary = _summarize_errors([row[-1] for row in table])
             assert summary.min == pytest.approx(mn, abs=0.01)
             assert summary.max == pytest.approx(mx, abs=0.01)
             assert summary.mean == pytest.approx(mean, abs=0.01)
@@ -274,7 +276,7 @@ def test_criterion_7e_difference_integrate_round_trip():
     for d in (1, 2):
         diffed = np.diff(x, n=d)
         anchors = [np.diff(x, n=k)[d - 1 - k] for k in range(d)]
-        ok = ok and np.allclose(integrate(diffed, anchors), x[d:], atol=1e-12)
+        ok = ok and np.allclose(_integrate(diffed, anchors), x[d:], atol=1e-12)
     record("7e difference/integrate round trip", ok)
 
 

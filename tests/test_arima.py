@@ -11,7 +11,7 @@ from indexcast import _simplex, arima
 from indexcast import (ArimaOrder, ComputationError, MonthStamp,
                        SelectionFailedError, SeriesTooShortError,
                        choose_difference_order, fit_arima, forecast_arima,
-                       integrate, make_series, select_order, slice_window)
+                       make_series, select_order, slice_window)
 from indexcast.arima import COEF_BOUND, MAX_P, MAX_Q
 
 
@@ -37,8 +37,18 @@ class TestIntegrate:
             # anchors: most recent value of each differencing level at the
             # point the deltas begin
             anchors = [np.diff(x, n=k)[d - 1 - k] for k in range(d)]
-            rebuilt = integrate(diffed, anchors)
+            rebuilt = arima._integrate(diffed, anchors)
             assert np.allclose(rebuilt, x[d:], atol=1e-12)
+        # bit for bit the numpy running sum it replaces, d = 0..2, over
+        # magnitudes from 1e-6 to 1e12
+        for d in (0, 1, 2):
+            for scale in (1e-6, 1.0, 1e6, 1e12):
+                deltas = list(rng.normal(0, scale, 30))
+                anchors = list(rng.normal(0, 1e3 * scale, d))
+                expected = np.asarray(deltas)
+                for anchor in reversed(anchors):
+                    expected = anchor + np.cumsum(expected)
+                assert arima._integrate(deltas, anchors) == tuple(expected)
 
 
 def _css(w, p, q, ar, ma):

@@ -226,13 +226,18 @@ def test_out_file_holds_what_stdout_prints(capsys, tmp_path, argv, precision):
 @pytest.mark.parametrize("argv", [
     ["ingest", "--out", ""],
     ["decompose", "--out", "REPORT", "--plot", ""],
-], ids=["out", "plot"])
+    ["decompose", "--plot", ""],
+    ["compare", "--input2", SC, "--plot", ""],
+], ids=["out", "plot", "plot_stdout", "compare_plot"])
 def test_empty_file_name_is_an_io_error(capsys, tmp_path, argv):
-    # an empty name is a file name that cannot be opened, not "no file"
-    argv = [str(tmp_path / "d.txt") if a == "REPORT" else a for a in argv]
+    # an empty name is a file name that cannot be opened, not "no file"; the
+    # chart is written before the report, so a chart that fails leaves none
+    report = tmp_path / "d.txt"
+    argv = [str(report) if a == "REPORT" else a for a in argv]
     code, out, err = run_cli(capsys, *argv, "--input", CD, "--start", "2010-01")
     assert (code, out) == (3, "")
     assert err.startswith("io error: ") and "''" in err
+    assert not report.exists()
 
 
 class TestIngest:

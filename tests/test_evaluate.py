@@ -8,7 +8,8 @@ from indexcast import (InsufficientDataError, MonthStamp, NoOverlapError,
                        compare_hypotheses, component_percentage,
                        decompose_additive, make_series, run_fixed_origin,
                        run_method, run_rolling, run_trend_seasonal,
-                       structural_stability, summarize_errors)
+                       structural_stability)
+from indexcast.evaluate import _summarize_errors
 
 ZERO_SUM_PATTERN = (40.0, -25.0, 10.0, -5.0, 30.0, -45.0,
                     15.0, -20.0, 35.0, -10.0, -15.0, -10.0)
@@ -46,7 +47,7 @@ class TestAbsolutePercentageError:
 class TestSummarizeErrors:
     def test_published_method_i_row(self):
         apes = [row[3] for row in CD_METHOD_I]
-        s = summarize_errors(apes)
+        s = _summarize_errors(apes)
         assert s.min == pytest.approx(1.44, abs=0.01)
         assert s.max == pytest.approx(12.91, abs=0.01)
         assert s.mean == pytest.approx(7.58, abs=0.01)
@@ -55,16 +56,12 @@ class TestSummarizeErrors:
         assert s.sd == pytest.approx(3.558, abs=0.01)
 
     def test_all_equal(self):
-        s = summarize_errors([5.0, 5.0, 5.0])
+        s = _summarize_errors([5.0, 5.0, 5.0])
         assert (s.min, s.max, s.mean, s.sd) == (5.0, 5.0, 5.0, 0.0)
 
     def test_permutation_invariance(self):
         values = [3.0, 1.0, 4.0, 1.5, 9.0]
-        assert summarize_errors(values) == summarize_errors(values[::-1])
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            summarize_errors([1.0])
+        assert _summarize_errors(values) == _summarize_errors(values[::-1])
 
     @pytest.mark.parametrize("engine", ["holt_winters", "arima"])
     @pytest.mark.parametrize("protocol", ["fixed_horizon_1", "rolling_one_month"])
@@ -237,12 +234,19 @@ class TestTrendSeasonal:
 
     def test_too_short_window_names_its_length(self, cd_series):
         # the error names the window the caller gave, not the trend that
-        # Holt-Winters fits
-        with pytest.raises(SeriesTooShortError, match=(
-                r"^method III needs at least 37 training months, whose trend "
-                r"has the 25 that Holt-Winters needs; got 36 months with a "
-                r"24-month trend$")):
-            run_trend_seasonal(cd_series, MonthStamp(2012, 12))
+        # Holt-Winters fits, also for a window too short to decompose, and
+        # before the check that the series runs 6 months past the window
+        for series, train_end, got in (
+                (cd_series, MonthStamp(2012, 12), "36 months with a 24-month"),
+                (cd_series, MonthStamp(2011, 8), "20 months with a 8-month"),
+                (cd_series, MonthStamp(2010, 6), "6 months with a 0-month"),
+                (deterministic_series(20), MonthStamp(2011, 8),
+                 "20 months with a 8-month")):
+            with pytest.raises(SeriesTooShortError, match=(
+                    r"^method III needs at least 37 training months, whose "
+                    r"trend has the 25 that Holt-Winters needs; got "
+                    rf"{got} trend$")):
+                run_trend_seasonal(series, train_end)
 
 
 class TestRunMethod:

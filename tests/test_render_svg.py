@@ -4,9 +4,8 @@ import re
 
 import pytest
 
-from indexcast import (MonthStamp, decompose_additive, structural_stability,
-                       summarize_errors)
-from indexcast.evaluate import ForecastRow, MethodReport
+from indexcast import MonthStamp, decompose_additive, structural_stability
+from indexcast.evaluate import ForecastRow, MethodReport, _summarize_errors
 from indexcast.render import (render_decomposition, render_hypotheses,
                               render_method_report, render_stability)
 from indexcast.series import MONTH_ABBR
@@ -16,7 +15,7 @@ from indexcast.svgchart import Line, Panel, render_chart
 def small_report():
     rows = (ForecastRow(MonthStamp(2015, 1), 10027.0, 9451.0, 5.744),
             ForecastRow(MonthStamp(2015, 2), 10502.0, 9146.0, 12.912))
-    return MethodReport("I", rows, summarize_errors([r.ape for r in rows]))
+    return MethodReport("I", rows, _summarize_errors([r.ape for r in rows]))
 
 
 class TestRenderDecomposition:
@@ -146,7 +145,8 @@ class TestSvgChart:
         assert a.startswith("<svg ") and a.rstrip().endswith("</svg>")
 
     def test_gaps_split_polylines(self):
-        chart = render_chart([Panel("x", (Line("x", (1.0, None, 2.0, 3.0)),))])
+        chart = render_chart([Panel("x", (Line("x", (1.0, None, 2.0, 3.0)),))],
+                             ["a", "b", "c", "d"], "t")
         assert chart.count("<circle") == 1  # the isolated point
         assert chart.count("<polyline") == 1
 
@@ -158,7 +158,7 @@ class TestSvgChart:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            render_chart([])
+            render_chart([], [], "t")
 
     @pytest.mark.parametrize("lines", [(Line("a", (None, None)),), (Line("a", ()),), ()],
                              ids=["undefined", "empty", "no_line"])
@@ -168,16 +168,18 @@ class TestSvgChart:
         if not alone:
             panels.insert(0, Panel("ok", (Line("a", (1.0, 2.0)),)))
         with pytest.raises(ValueError, match="^panel 'p' has no defined value$"):
-            render_chart(panels)
+            render_chart(panels, ["a", "b"], "t")
 
     def test_constant_line_is_padded_around_its_value(self):
-        chart = render_chart([Panel("c", (Line("c", (5.0, 5.0, 5.0)),))])
+        chart = render_chart([Panel("c", (Line("c", (5.0, 5.0, 5.0)),))],
+                             ["a", "b", "c"], "t")
         # the axis spans 5 -/+ 1, padded by 5%: labels 4, 5 and 6, and the
         # line runs through the middle of the panel (y 52..210)
         assert re.findall(r'text-anchor="end"[^>]*>(-?\d+)<', chart) == ["4", "5", "6"]
         assert 'points="72.00,131.00 464.00,131.00 856.00,131.00"' in chart
 
     def test_one_point_is_centred(self):
-        chart = render_chart([Panel("one", (Line("one", (7.0,)),))], ["2010-01"])
+        chart = render_chart([Panel("one", (Line("one", (7.0,)),))], ["2010-01"],
+                             "t")
         assert '<circle cx="464.00" cy="131.00"' in chart
         assert re.search(r'<text x="464.00" [^>]*>2010-01</text>', chart)
