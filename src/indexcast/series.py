@@ -114,9 +114,9 @@ def aggregate_daily_to_monthly(
     contiguous or sorted.  The checks below run after the last pair, so an
     error the iterable raises comes first.
 
-    This is the pairs API.  ``fileio.read_daily_csv`` sums a file's rows
-    to the same totals in its own parsing loop, keeping a running total
-    for the current month, and both end in the same month walk and checks.
+    This is the pairs API.  ``fileio.read_daily_csv`` reaches the same
+    totals, in file order, through its block pass and its row loop, and
+    both end in the same month walk and checks.
 
     Raises:
         EmptyInputError: no observations supplied.

@@ -137,7 +137,10 @@ def daily_csv_monthly_means(path):
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader]
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:  # such as a cell over the field size limit
+            raise ParseError(path, reader.line_num, str(exc)) from None
     if not rows:
         raise EmptyInputError(f"{path} is empty")
     (_, header), *rows = rows

@@ -1,7 +1,11 @@
 import datetime
+import math
+import os
+import random
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,8 @@ from indexcast import (DataError, EmptyInputError, GapInSeriesError,
                        IndexcastError, MissingStartError, MonthStamp, ParseError,
                        make_series, read_daily_csv, read_values_file,
                        write_values_file)
+from indexcast import fileio
+from indexcast.series import _monthly_means
 
 
 class TestValuesFormat:
@@ -248,10 +254,17 @@ def daily_csv_files(draw):
     """Bytes of a daily CSV whose rows switch back and forth between three to
     five consecutive months, with blank rows, quoted and padded cells, a
     third column (its cell may hold a newline) and an optional BOM; maybe
-    one bad cell.
+    one bad cell.  About half the files are plain instead: rows sorted by
+    date, oldest or newest first, two unquoted and unpadded cells, no blank
+    row.
 
     Returns (bytes, physical line number the bad cell's row ends on, or None).
     """
+    plain = draw(st.booleans())
+
+    def maybe():
+        return not plain and draw(st.booleans())
+
     first = draw(st.integers(1990 * 12, 2030 * 12))
     months = [divmod(first + k, 12) for k in range(draw(st.integers(3, 5)))]
     values = st.one_of(st.floats(-1e17, 1e17),
@@ -259,15 +272,16 @@ def daily_csv_files(draw):
     ks = list(range(len(months))) + draw(st.lists(st.integers(0, len(months) - 1),
                                                   max_size=30))
     rows = [(k, draw(st.integers(1, 28)), draw(values)) for k in ks]
-    rows = draw(st.permutations(rows))
-    third = draw(st.booleans())
+    rows = (sorted(rows, key=lambda row: row[:2], reverse=draw(st.booleans()))
+            if plain else draw(st.permutations(rows)))
+    third = maybe()
     cells = []
     for k, d, value in rows:
         year, month0 = months[k]
         row = [datetime.date(year, month0 + 1, d).isoformat(), repr(value)]
-        if draw(st.booleans()):
+        if maybe():
             row[0] = f" {row[0]} "
-        if draw(st.booleans()):
+        if maybe():
             row[1] = f" {row[1]} "
         if third:
             row.append(draw(st.sampled_from(["", "x", "a,b", "1.5", "a\nb"])))
@@ -283,9 +297,10 @@ def daily_csv_files(draw):
     lines = ["date,value,note" if third else "date,value"]
     bad_line = None
     for i, row in enumerate(cells):
-        for blank in draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2)):
+        for blank in draw(st.lists(st.sampled_from(["", "   ", "\t"]),
+                                   max_size=0 if plain else 2)):
             lines.append(blank)
-        quote = draw(st.booleans())
+        quote = maybe()
         lines.append(",".join(f'"{c}"' if quote or "," in c or "\n" in c else c
                               for c in row))
         if bad is not None and i == bad[0]:
@@ -309,14 +324,155 @@ def _library(path):
     return (series.start.year, series.start.month), series.values
 
 
+def _row_loop(path):
+    """The row loop alone, from the first byte, without the block pass."""
+    months = {}
+    with fileio._utf8(path, newline="") as handle:
+        fileio._row_months(handle, path, months, 0)
+    series = _monthly_means(months)
+    return (series.start.year, series.start.month), series.values
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(daily_csv_files())
 def test_daily_csv_matches_the_reference_reader(case):
     data, bad_line = case
-    with tempfile.TemporaryDirectory() as tmp:
+    # blocks of a few lines: months carry over from block to block, and the
+    # row loop may go on after some plain blocks
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(fileio, _FIRST_BLOCK=16, _BLOCK=64):
         path = Path(tmp) / "daily.csv"
         path.write_bytes(data)
         got = _outcome(_library, path)
         assert got == _outcome(oracles.daily_csv_monthly_means, path)
+        assert got == _outcome(_row_loop, path)
     if bad_line is not None:
         assert got[0] is ParseError and got[2] == bad_line
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("2010-01-04,1,2010-01-05\n7\n",
+     (ParseError, "expected 2 columns, got ['7']", 3)),
+    ("2010-01-04,1\r2010-01-05,3\n", ((2010, 1), [2.0])),
+    ("2010-01-04,1\n2010-01-05,\r3\n", (ParseError, "not a number: ''", 3)),
+    ("2010-01-04,1\n2010-01-05,35", ((2010, 1), [18.0])),
+    ("2010-01-04,1\n2010-01-05,3\n\n", ((2010, 1), [2.0])),
+    ("2010-01-04,1\n2010-02-01,2\n2010-01-05,4\n", ((2010, 1), [2.5, 2.0])),
+    ("2010-01-04,-0.0\n2010-01-05,-0.0\n", ((2010, 1), [0.0])),
+    ("2010-01-04,1\n2010-01-05,0{}1\n".format("0" * 131_071),
+     (ParseError, "field larger than field limit (131072)", 3)),
+    ("9999-12-30,1\n9999-12-31,3\n", ((9999, 12), [2.0])),
+], ids=["two_cells_then_one", "lone_cr", "lone_cr_in_a_cell", "no_final_newline",
+        "trailing_blank_line", "month_comes_back", "negative_zeros",
+        "over_long_number", "last_month_9999"])
+def test_edge_cases_of_the_block_pass(tmp_path, text, outcome):
+    # under a third header cell every file takes the row loop
+    path = tmp_path / "daily.csv"
+    for header in ["date,value\n", "date,value,note\n"]:
+        path.write_text(header + text, newline="")
+        got = _outcome(_library, path)
+        assert got == _outcome(oracles.daily_csv_monthly_means, path)
+        if outcome[0] is ParseError:
+            assert got[0] is ParseError and got[1].endswith(outcome[1])
+            assert got[2] == outcome[2]
+        else:
+            assert got == (outcome[0], [v.hex() for v in outcome[1]])
+
+
+def test_bad_value_comes_before_bytes_that_do_not_decode(tmp_path):
+    # the bad byte is more than one 32 KB block after the bad value
+    path = tmp_path / "daily.csv"
+    path.write_bytes(b"date,value\n2010-01-04,x\n" + b"2010-01-05,1\n" * 3000
+                     + b"2010-01-06,caf\xe9\n")
+    with pytest.raises(ParseError, match="not a number: 'x'") as exc:
+        read_daily_csv(path)
+    assert exc.value.line_number == 2
+
+
+def _quote_lines(count=4000):
+    """Rows of business days with two-decimal quotes, as the benchmark writes them."""
+    rng, day, value = random.Random(1), datetime.date(1999, 3, 1), 2500.0
+    lines = []
+    while len(lines) < count:
+        if day.weekday() < 5:
+            value *= math.exp(rng.gauss(0.0002, 0.012))
+            lines.append(f"{day.isoformat()},{value:.2f}")
+        day += datetime.timedelta(days=1)
+    return lines
+
+
+@pytest.mark.parametrize("newline, order", [("\n", 1), ("\r\n", 1), ("\n", -1)],
+                         ids=["lf", "crlf", "newest_first"])
+def test_plain_file_does_not_reach_the_row_loop(tmp_path, monkeypatch, newline, order):
+    lines = ["date,value"] + _quote_lines()[::order]
+    path = tmp_path / "daily.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    expected = _outcome(oracles.daily_csv_monthly_means, path)
+    assert len(expected[1]) > 150
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("the row loop read a plain file")
+
+    monkeypatch.setattr(fileio.csv, "reader", no_reader)
+    assert _outcome(_library, path) == expected
+
+
+def _inserted(lines, i, line):
+    return lines[:i] + [line] + lines[i:]
+
+
+@pytest.mark.parametrize("change", [
+    lambda lines: lines + [""],
+    lambda lines: lines[:-1] + [lines[-1].replace(",", ",x")],
+    lambda lines: lines[:-3] + [lines[-2], lines[-3], lines[-1]],
+    lambda lines: lines[:-5] + [lines[-5].replace(",", ',"') + '"'] + lines[-4:],
+    lambda lines: lines[:-5] + [lines[-5] + ",note"] + lines[-4:],
+    lambda lines: _inserted(lines, 3000, ""),
+    lambda lines: _inserted(lines, 3000, "2000-02-30,1"),
+    lambda lines: _inserted(lines, 3000, "2000-02-03,1{}".format("0" * 131_072)),
+], ids=["trailing_blank_line", "bad_last_row", "late_row_out_of_order",
+        "late_quoted_cell", "late_third_column", "blank_line_at_3000",
+        "bad_date_at_3000", "over_long_cell_at_3000"])
+def test_row_loop_goes_on_after_the_plain_blocks(tmp_path, monkeypatch, change):
+    path = tmp_path / "daily.csv"
+    path.write_text("\n".join(["date,value"] + change(_quote_lines())) + "\n")
+    expected = _outcome(_row_loop, path)
+    assert expected == _outcome(oracles.daily_csv_monthly_means, path)
+    starts = []
+    row_months = fileio._row_months
+
+    def recorded(handle, path, months, lines):
+        starts.append(lines)
+        return row_months(handle, path, months, lines)
+
+    monkeypatch.setattr(fileio, "_row_months", recorded)
+    assert _outcome(_library, path) == expected
+    assert len(starts) == 1 and starts[0] > 1000  # the plain blocks were not parsed twice
+
+
+def test_bytes_that_do_not_decode_come_as_in_the_row_loop(tmp_path):
+    # the row loop takes over at a blank line; a bad value follows, and a
+    # bad byte some rows later, in the same decoding chunk or a later one
+    path = tmp_path / "daily.csv"
+    kinds = set()
+    for gap in range(0, 600, 20):
+        lines = ["date,value"] + _quote_lines()
+        lines[2600], lines[2700] = "", lines[2700].replace(",", ",x")
+        lines[2700 + gap + 1] += "\udce9"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        got = _outcome(_library, path)
+        assert got == _outcome(_row_loop, path)
+        kinds.add(got[0])
+    assert kinds == {DataError, ParseError}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipe_is_read_once():
+    # a pipe cannot go back to its first byte for the row loop
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b'date,value\n2010-01-04,1\n2010-01-05,"3"\n')
+        os.close(write_end)
+        assert read_daily_csv(f"/dev/fd/{read_end}").values == (2.0,)
+    finally:
+        os.close(read_end)
