@@ -184,3 +184,162 @@ def daily_csv_monthly_means(path):
         means.append(mean)
         year, month = (year, month + 1) if month < 12 else (year + 1, 1)
     return first, means
+
+
+def table(header, rows, decimals, fmt, precision):
+    """A rendered table, one cell at a time with explicit loops.
+
+    `rows` hold raw cells.  ``decimals[j]`` is None for a label column,
+    whose cells are written with ``str``, and otherwise the number of
+    decimals column j shows at display precision; full precision writes
+    ``repr(float(value))`` and None is a blank cell.  `fmt` is "csv",
+    "markdown" or "text".
+    """
+    lines = [list(header)]
+    for row in rows:
+        cells = []
+        for j in range(len(row)):
+            value = row[j]
+            if decimals[j] is None:
+                cells.append(str(value))
+            elif value is None:
+                cells.append("")
+            elif precision == "full":
+                cells.append(repr(float(value)))
+            else:
+                cells.append(("{:." + str(decimals[j]) + "f}").format(value))
+        lines.append(cells)
+    out = []
+    if fmt == "csv":
+        for cells in lines:
+            out.append(",".join(cells))
+    elif fmt == "markdown":
+        for i, cells in enumerate(lines):
+            text = "|"
+            for cell in cells:
+                text += " " + cell + " |"
+            out.append(text)
+            if i == 0:
+                out.append("|" + " --- |" * len(cells))
+    else:
+        widths = [0] * len(header)
+        for cells in lines:
+            for j in range(len(cells)):
+                widths[j] = max(widths[j], len(cells[j]))
+        for cells in lines:
+            padded = []
+            for j in range(len(cells)):
+                padded.append(" " * (widths[j] - len(cells[j])) + cells[j])
+            out.append("  ".join(padded).rstrip())
+    text = ""
+    for line in out:
+        text += line + "\n"
+    return text
+
+
+def svg_chart(panels, x_labels, title):
+    """An SVG line chart written point by point.
+
+    `panels` is a list of ``(title, [(label, values), ...])``; None values
+    split a line.  Panels stack 190 px apart in an 880 px wide document,
+    every point's coordinates carry two decimals, and a run of one defined
+    value is a circle.
+    """
+    def escape(text):
+        out = ""
+        for ch in text:
+            out += {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}.get(ch, ch)
+        return out
+
+    n_points = 0
+    for _, lines in panels:
+        for _, values in lines:
+            n_points = max(n_points, len(values))
+    height = 34 + 190 * len(panels) + 30
+    left, right = 72, 880 - 24
+
+    def x_at(i):
+        if n_points == 1:
+            return (left + right) / 2.0
+        return left + i * (right - left) / (n_points - 1)
+
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="880" '
+           f'height="{height}" viewBox="0 0 880 {height}">',
+           '<rect width="100%" height="100%" fill="#ffffff"/>',
+           f'<text x="440.0" y="22" text-anchor="middle" '
+           f'font-size="16" font-family="sans-serif">{escape(title)}</text>']
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e"]
+    for p in range(len(panels)):
+        panel_title, lines = panels[p]
+        top = 34 + p * 190 + 18
+        bottom = 34 + (p + 1) * 190 - 14
+        lo = hi = None
+        for _, values in lines:
+            for v in values:
+                if v is not None:
+                    lo = v if lo is None or v < lo else lo
+                    hi = v if hi is None or v > hi else hi
+        if lo is None:
+            raise ValueError(f"panel {panel_title!r} has no defined value")
+        if hi == lo:
+            lo, hi = lo - 1.0, hi + 1.0
+        pad = 0.05 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+
+        def y_at(v):
+            return bottom - (v - lo) * (bottom - top) / (hi - lo)
+
+        out.append(f'<text x="{left}" y="{top - 5}" font-size="12" '
+                   f'font-family="sans-serif">{escape(panel_title)}</text>')
+        out.append(f'<rect x="{left}" y="{top}" width="{right - left}" '
+                   f'height="{bottom - top}" fill="none" stroke="#999999"/>')
+        for frac in (0.0, 0.5, 1.0):
+            v = lo + frac * (hi - lo)
+            y = y_at(v)
+            out.append(f'<line x1="{left}" y1="{y:.2f}" x2="{right}" '
+                       f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>')
+            out.append(f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end" '
+                       f'font-size="10" font-family="sans-serif">{v:.0f}</text>')
+        for li in range(len(lines)):
+            label, values = lines[li]
+            color = colors[li % 4]
+            runs, run = [], []
+            for i in range(len(values)):
+                if values[i] is None:
+                    if run:
+                        runs.append(run)
+                    run = []
+                else:
+                    run.append(i)
+            if run:
+                runs.append(run)
+            for run in runs:
+                if len(run) == 1:
+                    i = run[0]
+                    out.append(f'<circle cx="{x_at(i):.2f}" cy="{y_at(values[i]):.2f}" '
+                               f'r="2" fill="{color}"/>')
+                    continue
+                points = ""
+                for i in run:
+                    if points:
+                        points += " "
+                    points += f"{x_at(i):.2f},{y_at(values[i]):.2f}"
+                out.append(f'<polyline fill="none" stroke="{color}" '
+                           f'stroke-width="1.5" points="{points}"/>')
+            if len(lines) > 1:
+                lx = left + 8 + 150 * li
+                out.append(f'<line x1="{lx}" y1="{top + 10}" x2="{lx + 18}" '
+                           f'y2="{top + 10}" stroke="{color}" stroke-width="2"/>')
+                out.append(f'<text x="{lx + 22}" y="{top + 14}" font-size="10" '
+                           f'font-family="sans-serif">{escape(label)}</text>')
+    step = max(1, n_points // 8)
+    i = 0
+    while i < n_points:
+        out.append(f'<text x="{x_at(i):.2f}" y="{height - 10}" '
+                   f'text-anchor="middle" font-size="10" '
+                   f'font-family="sans-serif">{escape(x_labels[i])}</text>')
+        i += step
+    text = ""
+    for line in out + ["</svg>"]:
+        text += line + "\n"
+    return text

@@ -1,11 +1,18 @@
 import csv
 import io
+import random
 import re
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from indexcast import MonthStamp, decompose_additive, structural_stability
-from indexcast.evaluate import ForecastRow, MethodReport, _summarize_errors
+from indexcast import (MonthStamp, decompose_additive, make_series,
+                       structural_stability)
+from indexcast.decompose import DecompositionResult
+from indexcast.evaluate import (ErrorSummary, ForecastRow, MethodReport,
+                                StabilityRow, _summarize_errors)
 from indexcast.render import (render_decomposition, render_hypotheses,
                               render_method_report, render_stability)
 from indexcast.series import MONTH_ABBR
@@ -183,3 +190,118 @@ class TestSvgChart:
                              "t")
         assert '<circle cx="464.00" cy="131.00"' in chart
         assert re.search(r'<text x="464.00" [^>]*>2010-01</text>', chart)
+
+
+# the byte-identity tests below compare every table format and precision,
+# and the chart, with the loop-written copies in ``oracles``
+FORMATS = ("csv", "markdown", "text")
+PRECISIONS = ("display", "full")
+NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+         "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+@st.composite
+def value_lines(draw, n, gaps=True):
+    """`n` values: random, constant or one defined point, of either sign
+    and magnitudes from 0.001 to 1e12, with None runs when `gaps`."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e4, 1e12)))
+    shape = draw(st.sampled_from(("random", "random", "constant", "single")))
+    low = -scale if draw(st.booleans()) else 0.0
+    if shape == "constant":
+        values = [rng.uniform(low, scale)] * n
+    else:
+        values = [rng.uniform(low, scale) for _ in range(n)]
+    if shape == "single" and gaps:
+        keep = rng.randrange(n)
+        return [v if i == keep else None for i, v in enumerate(values)]
+    for _ in range(draw(st.integers(0, 4)) if gaps else 0):
+        at = rng.randrange(n)
+        for i in range(at, min(n, at + rng.randint(1, 12))):
+            values[i] = None
+    return values
+
+
+def month_cells(start, n, fmt):
+    months = [start.offset(i) for i in range(n)]
+    return [[m.year, m.month if fmt == "csv" else NAMES[m.month - 1]]
+            for m in months]
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300),
+       start=st.builds(MonthStamp, st.integers(1, 9999), st.integers(1, 12)))
+def test_decomposition_table_is_the_loop_written_table(data, n, start):
+    source = make_series(start, [v for v in data.draw(value_lines(n, gaps=False))])
+    trend, random_ = (tuple(data.draw(value_lines(n))) for _ in range(2))
+    seasonal = tuple(data.draw(value_lines(n, gaps=False)))
+    result = DecompositionResult(source, trend, seasonal, seasonal[:12], random_)
+    for fmt in FORMATS:
+        rows = [cells + list(values) for cells, values in zip(
+            month_cells(start, n, fmt),
+            zip(source.values, trend, seasonal, random_))]
+        for precision in PRECISIONS:
+            assert render_decomposition(result, fmt, precision) == oracles.table(
+                ["year", "month", "aggregate", "trend", "seasonal", "random"],
+                rows, [None, None, 0, 0, 0, 0], fmt, precision)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300),
+       start=st.builds(MonthStamp, st.integers(1, 9999), st.integers(1, 12)))
+def test_stability_table_is_the_loop_written_table(data, n, start):
+    columns = [data.draw(value_lines(n)) for _ in range(7)]
+    stability = tuple(StabilityRow(start.offset(i), *values)
+                      for i, values in enumerate(zip(*columns)))
+    for fmt in FORMATS:
+        rows = [cells + list(values) for cells, values in zip(
+            month_cells(start, n, fmt), zip(*columns))]
+        for precision in PRECISIONS:
+            assert render_stability(stability, fmt, precision) == oracles.table(
+                ["year", "month", "trend_1", "seasonal_1", "sum_1", "trend_2",
+                 "seasonal_2", "sum_2", "variation_pct"],
+                rows, [None, None, 0, 0, 0, 0, 0, 0, 2], fmt, precision)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300),
+       start=st.builds(MonthStamp, st.integers(1, 9999), st.integers(1, 12)))
+def test_method_report_is_the_loop_written_table(data, n, start):
+    columns = [data.draw(value_lines(n)) for _ in range(3)]
+    summary = data.draw(value_lines(4, gaps=False))
+    report = MethodReport("VI", tuple(
+        ForecastRow(start.offset(i), *values) for i, values in enumerate(zip(*columns))),
+        ErrorSummary(*summary))
+    rows = [[f"{m.year:04d}-{m.month:02d}", *values] for m, values in zip(
+        [start.offset(i) for i in range(n)], zip(*columns))]
+    for fmt in FORMATS:
+        for precision in PRECISIONS:
+            cells = oracles.table("abcd", [summary], [2] * 4, "csv", precision)
+            footer = "# method VI: min={} max={} mean={} sd={}\n".format(
+                *cells.splitlines()[1].split(","))
+            assert render_method_report(report, fmt, precision) == oracles.table(
+                ["month", "actual", "forecast", "ape"], rows, [None, 0, 0, 2],
+                fmt, precision) + footer
+
+
+TITLES = st.text(alphabet='ab &<>"', max_size=6)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300), title=TITLES, prefix=TITLES)
+def test_chart_is_the_loop_written_chart(data, n, title, prefix):
+    panels = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        lines = [(data.draw(TITLES), data.draw(value_lines(data.draw(st.integers(1, n)))))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        panels.append((data.draw(TITLES), lines))
+    labels = [f"{prefix}{i}" for i in range(n)]
+    try:
+        want = oracles.svg_chart(panels, labels, title)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            render_chart([Panel(t, tuple(Line(*line) for line in lines))
+                          for t, lines in panels], labels, title)
+        return
+    assert render_chart([Panel(t, tuple(Line(*line) for line in lines))
+                         for t, lines in panels], labels, title) == want
