@@ -99,14 +99,15 @@ def decompose_additive(series: MonthlyTimeSeries) -> DecompositionResult:
     interior = _cma_trend(series.values)
     indices = _seasonal_indices(series, interior)
     trend = (None,) * 6 + tuple(interior.tolist()) + (None,) * 6
-    seasonal = tuple(indices[m] for m in series.month_indices())
-    random = tuple(
-        None if t is None else series.values[i] - t - seasonal[i]
-        for i, t in enumerate(trend))
-    for i, r in enumerate(random):
-        if r is not None and not math.isfinite(r):
-            raise ComputationError(f"random component at {series.start.offset(i)} "
-                                   "is not finite; the series overflows")
+    seasonal = tuple(map(indices.__getitem__, series.month_indices()))
+    n = len(series)
+    defined = [y - t - s for y, t, s in zip(series.values[6:n - 6], trend[6:n - 6],
+                                            seasonal[6:n - 6])]
+    if not all(map(math.isfinite, defined)):
+        i = next(i for i, r in enumerate(defined, 6) if not math.isfinite(r))
+        raise ComputationError(f"random component at {series.start.offset(i)} "
+                               "is not finite; the series overflows")
+    random = (None,) * 6 + tuple(defined) + (None,) * 6
     return DecompositionResult(series, trend, seasonal, indices, random)
 
 
@@ -120,14 +121,11 @@ def component_percentage(series: MonthlyTimeSeries,
     if len(component) != len(series):
         raise ValueError(f"component length {len(component)} does not match "
                          f"series length {len(series)}")
-    out = []
-    for i, c in enumerate(component):
-        if c is None:
-            out.append(None)
-            continue
-        y = series.values[i]
-        if y == 0:
-            raise ZeroDivisionError(
-                f"series value is zero at {series.start.offset(i)}")
-        out.append(c / y * 100.0)
-    return tuple(out)
+    try:
+        return tuple([None if c is None else c / y * 100.0
+                      for c, y in zip(component, series.values)])
+    except ZeroDivisionError:
+        i = next(i for i, (c, y) in enumerate(zip(component, series.values))
+                 if c is not None and y == 0)
+        raise ZeroDivisionError(
+            f"series value is zero at {series.start.offset(i)}") from None

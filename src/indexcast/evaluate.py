@@ -276,12 +276,14 @@ def structural_stability(series_full: MonthlyTimeSeries,
     hi = min(trend_a.end, trend_b.end)
     if lo > hi:
         raise NoOverlapError("the defined-trend ranges of the windows do not overlap")
+    count = lo.months_until(hi) + 1
+    i_a, i_b = trend_a.index_of(lo), trend_b.index_of(lo)
+    indices_a, indices_b = dec_a.seasonal_indices, dec_b.seasonal_indices
     rows = []
-    for k in range(lo.months_until(hi) + 1):
-        month = lo.offset(k)
-        t_a = trend_a.values[trend_a.index_of(month)]
-        t_b = trend_b.values[trend_b.index_of(month)]
-        s_a, s_b = dec_a.seasonal_index_for(month), dec_b.seasonal_index_for(month)
+    for month, t_a, t_b in zip(trend_a.months()[i_a:i_a + count],
+                               trend_a.values[i_a:i_a + count],
+                               trend_b.values[i_b:i_b + count]):
+        s_a, s_b = indices_a[month.month - 1], indices_b[month.month - 1]
         sum_a, sum_b = t_a + s_a, t_b + s_b
         if sum_a == 0:
             raise ZeroDivisionError(

@@ -2,7 +2,8 @@
 
 Display precision matches the source tables: index levels round to
 integers and percentages to two decimals.  Full precision renders every
-float with repr so values survive a round trip through re-ingestion.
+float with repr so values survive a round trip through re-ingestion.  The
+formatter is chosen once per column, and any other precision is refused.
 
 Every format is one string of cells per row, joined by commas (CSV),
 ``|`` (Markdown) or right-justified columns (text).  Joining needs no
@@ -25,16 +26,20 @@ LEVEL = "{:.0f}"    # index points: integers
 PERCENT = "{:.2f}"  # percentages: 2 decimals
 
 
-def _fmt(value, kind, precision):
-    if value is None:
-        return ""
+def _cells(values, kind, precision):
+    """One column's cells, the formatter chosen once: blank for None,
+    `kind` at display precision, the float's repr at full precision."""
     if precision == "full":
-        return repr(float(value))
-    return kind.format(value)
+        return ["" if v is None else repr(float(v)) for v in values]
+    if precision != "display":
+        raise ValueError(f"unknown precision {precision!r}")
+    fmt = kind.format
+    return ["" if v is None else fmt(v) for v in values]
 
 
 def _emit(header, rows, fmt):
-    table = [header] + [[str(c) for c in row] for row in rows]
+    """The table of `header` and `rows`, every cell already a string."""
+    table = [header, *rows]
     if fmt == "csv":
         lines = [",".join(r) for r in table]
     elif fmt == "markdown":
@@ -42,8 +47,9 @@ def _emit(header, rows, fmt):
         lines.insert(1, "|" + "|".join(" --- " for _ in header) + "|")
     elif fmt == "text":
         widths = [max(map(len, column)) for column in zip(*table)]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip()
-                 for r in table]
+        # a {:>w} field pads a string exactly as rjust(w) does
+        line = "  ".join(f"{{:>{w}}}" for w in widths).format
+        lines = [line(*r).rstrip() for r in table]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return "\n".join(lines) + "\n"
@@ -54,10 +60,11 @@ def _month_table(months, columns, fmt, precision):
 
     The month is a number in CSV and an abbreviation otherwise.
     """
-    cells = [[_fmt(v, kind, precision) for v in values] for _, kind, values in columns]
-    names = [m.month if fmt == "csv" else MONTH_ABBR[m.month_index] for m in months]
+    cells = [_cells(values, kind, precision) for _, kind, values in columns]
+    names = [str(m) for m in range(1, 13)] if fmt == "csv" else MONTH_ABBR
     return _emit(["year", "month"] + [header for header, _, _ in columns],
-                 zip([m.year for m in months], names, *cells), fmt)
+                 zip([str(m.year) for m in months],
+                     [names[m.month - 1] for m in months], *cells), fmt)
 
 
 def render_decomposition(result: DecompositionResult, fmt: str = "text",
@@ -72,17 +79,15 @@ def render_decomposition(result: DecompositionResult, fmt: str = "text",
 def render_method_report(report: MethodReport, fmt: str = "text",
                          precision: str = "display") -> str:
     """Month/actual/forecast/ape rows plus a summary footer line."""
-    rows = [[str(r.month),
-             _fmt(r.actual, LEVEL, precision),
-             _fmt(r.forecast, LEVEL, precision),
-             _fmt(r.ape, PERCENT, precision)] for r in report.rows]
+    rows = report.rows
+    columns = ([str(r.month) for r in rows],
+               _cells([r.actual for r in rows], LEVEL, precision),
+               _cells([r.forecast for r in rows], LEVEL, precision),
+               _cells([r.ape for r in rows], PERCENT, precision))
     s = report.summary
-    footer = (f"# method {report.method_id}: "
-              f"min={_fmt(s.min, PERCENT, precision)} "
-              f"max={_fmt(s.max, PERCENT, precision)} "
-              f"mean={_fmt(s.mean, PERCENT, precision)} "
-              f"sd={_fmt(s.sd, PERCENT, precision)}")
-    return _emit(["month", "actual", "forecast", "ape"], rows, fmt) + footer + "\n"
+    low, high, mean, sd = _cells((s.min, s.max, s.mean, s.sd), PERCENT, precision)
+    return (_emit(["month", "actual", "forecast", "ape"], zip(*columns), fmt)
+            + f"# method {report.method_id}: min={low} max={high} mean={mean} sd={sd}\n")
 
 
 def render_stability(rows: tuple[StabilityRow, ...], fmt: str = "text",
@@ -101,13 +106,12 @@ def render_stability(rows: tuple[StabilityRow, ...], fmt: str = "text",
 
 def render_hypotheses(report: HypothesisReport, precision: str = "display") -> str:
     """Amplitude metrics and the two verdict lines."""
+    seasonal_1, seasonal_2, random_1, random_2 = _cells(
+        (report.seasonal_amplitude_1, report.seasonal_amplitude_2,
+         report.random_amplitude_1, report.random_amplitude_2), PERCENT, precision)
     lines = [
-        "seasonal amplitude: series1="
-        f"{_fmt(report.seasonal_amplitude_1, PERCENT, precision)}% "
-        f"series2={_fmt(report.seasonal_amplitude_2, PERCENT, precision)}%",
-        "random amplitude:   series1="
-        f"{_fmt(report.random_amplitude_1, PERCENT, precision)}% "
-        f"series2={_fmt(report.random_amplitude_2, PERCENT, precision)}%",
+        f"seasonal amplitude: series1={seasonal_1}% series2={seasonal_2}%",
+        f"random amplitude:   series1={random_1}% series2={random_2}%",
         f"verdict (i)  series1 more seasonal: {report.first_more_seasonal}",
         f"verdict (ii) series2 more random:   {report.second_more_random}",
     ]

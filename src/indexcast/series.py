@@ -73,12 +73,12 @@ class MonthlyTimeSeries:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if not values:
             raise EmptyInputError("monthly series must contain at least one value")
-        for i, v in enumerate(values):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value at position {i}: {v}")
+        if not all(map(math.isfinite, values)):
+            i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
+            raise ValueError(f"non-finite value at position {i}: {v}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -96,11 +96,13 @@ class MonthlyTimeSeries:
 
     def month_indices(self) -> tuple[int, ...]:
         """Calendar month index (0..11) of each position."""
-        first = self.start.month_index
-        return tuple((first + i) % 12 for i in range(len(self.values)))
+        n, first = len(self.values), self.start.month_index
+        return (tuple(range(12)) * (n // 12 + 2))[first:first + n]
 
     def months(self) -> tuple[MonthStamp, ...]:
-        return tuple(self.start.offset(i) for i in range(len(self.values)))
+        first = self.start.year * 12 + self.start.month - 1
+        return tuple([MonthStamp(k // 12, k % 12 + 1)
+                      for k in range(first, first + len(self.values))])
 
 
 def aggregate_daily_to_monthly(
@@ -143,17 +145,19 @@ def _monthly_means(months: dict[tuple[int, int], tuple[float, int]]
     if not months:
         raise EmptyInputError("no daily observations")
     first, last = min(months), max(months)
-    values = []
-    for k in range(first[0] * 12 + first[1] - 1, last[0] * 12 + last[1]):
-        key = (k // 12, k % 12 + 1)
+    keys = [(k // 12, k % 12 + 1)
+            for k in range(first[0] * 12 + first[1] - 1, last[0] * 12 + last[1])]
+    if len(keys) == len(months):  # every month of the span has a key
+        values = [total / count for total, count in map(months.__getitem__, keys)]
+        if all(map(math.isfinite, values)):
+            return MonthlyTimeSeries(MonthStamp(*first), tuple(values))
+    for key in keys:  # raise for the first gap or non-finite mean, in month order
         if key not in months:
             raise GapInSeriesError(f"no observations in {MonthStamp(*key)}")
         total, count = months[key]
         mean = total / count
         if not math.isfinite(mean):
             raise ComputationError(f"mean of {MonthStamp(*key)} is not finite: {mean}")
-        values.append(mean)
-    return MonthlyTimeSeries(MonthStamp(*first), tuple(values))
 
 
 def slice_window(series: MonthlyTimeSeries, start: MonthStamp,

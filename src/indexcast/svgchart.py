@@ -3,7 +3,9 @@
 Identical inputs produce byte-identical output: coordinates are formatted
 with fixed precision and there are no timestamps or generated ids.  Panels
 stack vertically; a panel may hold several named lines, and None values
-split a line into segments.
+split a line into segments.  The x coordinates are formatted once per
+chart, since every panel and line shares them, and each segment's points
+in one pass.
 """
 
 from __future__ import annotations
@@ -37,17 +39,21 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-def _segments(values):
-    run = []
+def _runs(values):
+    """``(start, stop)`` of each run of values that are not None, in order."""
+    if None not in values:
+        return [(0, len(values))] if len(values) else []
+    runs, start = [], None
     for i, v in enumerate(values):
         if v is None:
-            if run:
-                yield run
-            run = []
-        else:
-            run.append((i, v))
-    if run:
-        yield run
+            if start is not None:
+                runs.append((start, i))
+            start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        runs.append((start, len(values)))
+    return runs
 
 
 def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
@@ -62,10 +68,12 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
     plot_left = MARGIN_LEFT
     plot_right = WIDTH - MARGIN_RIGHT
 
-    def x_px(i):
-        if n_points == 1:
-            return (plot_left + plot_right) / 2.0
-        return plot_left + i * (plot_right - plot_left) / (n_points - 1)
+    # every line and panel shares the x coordinates: format them once
+    if n_points == 1:
+        xs = [f"{(plot_left + plot_right) / 2.0:.2f}"]
+    else:
+        span_x, last = plot_right - plot_left, n_points - 1
+        xs = [f"{plot_left + i * span_x / last:.2f}" for i in range(n_points)]
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
@@ -84,8 +92,10 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
         pad = 0.05 * (hi - lo)
         lo, hi = lo - pad, hi + pad
 
-        def y_px(v, lo=lo, hi=hi, top=top, bottom=bottom):
-            return bottom - (v - lo) * (bottom - top) / (hi - lo)
+        span_px, span_v = bottom - top, hi - lo
+
+        def y_px(v):
+            return bottom - (v - lo) * span_px / span_v
 
         out.append(f'<text x="{plot_left}" y="{top - 5}" font-size="12" '
                    f'font-family="sans-serif">{_escape(panel.title)}</text>')
@@ -100,16 +110,16 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
                        f'font-size="10" font-family="sans-serif">{v:.0f}</text>')
         for li, line in enumerate(panel.lines):
             color = COLORS[li % len(COLORS)]
-            for segment in _segments(line.values):
-                if len(segment) == 1:
-                    i, v = segment[0]
-                    out.append(f'<circle cx="{x_px(i):.2f}" cy="{y_px(v):.2f}" '
+            values = line.values
+            for start, stop in _runs(values):
+                if stop - start == 1:
+                    out.append(f'<circle cx="{xs[start]}" cy="{y_px(values[start]):.2f}" '
                                f'r="2" fill="{color}"/>')
-                else:
-                    points = " ".join(f"{x_px(i):.2f},{y_px(v):.2f}"
-                                      for i, v in segment)
-                    out.append(f'<polyline fill="none" stroke="{color}" '
-                               f'stroke-width="1.5" points="{points}"/>')
+                    continue
+                points = " ".join([f"{x},{bottom - (v - lo) * span_px / span_v:.2f}"
+                                   for x, v in zip(xs[start:stop], values[start:stop])])
+                out.append(f'<polyline fill="none" stroke="{color}" '
+                           f'stroke-width="1.5" points="{points}"/>')
             if len(panel.lines) > 1:
                 lx = plot_left + 8 + 150 * li
                 out.append(f'<line x1="{lx}" y1="{top + 10}" x2="{lx + 18}" '
@@ -117,7 +127,7 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
                 out.append(f'<text x="{lx + 22}" y="{top + 14}" font-size="10" '
                            f'font-family="sans-serif">{_escape(line.label)}</text>')
     for i in range(0, n_points, max(1, n_points // 8)):
-        out.append(f'<text x="{x_px(i):.2f}" y="{height - 10}" '
+        out.append(f'<text x="{xs[i]}" y="{height - 10}" '
                    f'text-anchor="middle" font-size="10" '
                    f'font-family="sans-serif">{_escape(x_labels[i])}</text>')
     out.append("</svg>")

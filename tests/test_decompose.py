@@ -188,6 +188,12 @@ class TestComponentPercentage:
         with pytest.raises(ZeroDivisionError):
             component_percentage(s, (1.0, 1.0))
 
+    def test_zero_aggregate_names_the_first_month_with_a_component(self):
+        # the zero in January has no component to divide
+        s = make_series("2010-01", [0.0, 5.0, 0.0, 0.0])
+        with pytest.raises(ZeroDivisionError, match="^series value is zero at 2010-03$"):
+            component_percentage(s, (None, 1.0, 1.0, 1.0))
+
     def test_misaligned_component_rejected(self):
         s = make_series("2010-01", [10.0, 20.0])
         with pytest.raises(ValueError):

@@ -126,6 +126,17 @@ def test_unknown_output_format_is_refused(cd_series):
             render(table, "html")
 
 
+def test_unknown_precision_is_refused(cd_series, sc_series):
+    from indexcast import compare_hypotheses
+    for render, table in ((render_decomposition, decompose_additive(cd_series)),
+                          (render_method_report, small_report()),
+                          (render_stability, structural_stability(cd_series))):
+        with pytest.raises(ValueError, match="^unknown precision 'Full'$"):
+            render(table, "csv", precision="Full")
+    with pytest.raises(ValueError, match="^unknown precision 'Full'$"):
+        render_hypotheses(compare_hypotheses(cd_series, sc_series), "Full")
+
+
 class TestRenderHypotheses:
     def test_verdict_lines(self, cd_series, sc_series):
         from indexcast import compare_hypotheses
@@ -232,7 +243,7 @@ def month_cells(start, n, fmt):
 @given(data=st.data(), n=st.integers(1, 300),
        start=st.builds(MonthStamp, st.integers(1, 9999), st.integers(1, 12)))
 def test_decomposition_table_is_the_loop_written_table(data, n, start):
-    source = make_series(start, [v for v in data.draw(value_lines(n, gaps=False))])
+    source = make_series(start, data.draw(value_lines(n, gaps=False)))
     trend, random_ = (tuple(data.draw(value_lines(n))) for _ in range(2))
     seasonal = tuple(data.draw(value_lines(n, gaps=False)))
     result = DecompositionResult(source, trend, seasonal, seasonal[:12], random_)
@@ -296,12 +307,11 @@ def test_chart_is_the_loop_written_chart(data, n, title, prefix):
                  for _ in range(data.draw(st.integers(1, 3)))]
         panels.append((data.draw(TITLES), lines))
     labels = [f"{prefix}{i}" for i in range(n)]
+    chart = [Panel(t, tuple(Line(*line) for line in lines)) for t, lines in panels]
     try:
         want = oracles.svg_chart(panels, labels, title)
-    except ValueError as exc:
+    except ValueError as exc:  # a panel without a defined value
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            render_chart([Panel(t, tuple(Line(*line) for line in lines))
-                          for t, lines in panels], labels, title)
+            render_chart(chart, labels, title)
         return
-    assert render_chart([Panel(t, tuple(Line(*line) for line in lines))
-                         for t, lines in panels], labels, title) == want
+    assert render_chart(chart, labels, title) == want

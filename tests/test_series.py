@@ -61,6 +61,10 @@ class TestMonthlyTimeSeries:
         with pytest.raises(ValueError):
             make_series("2010-01", [1.0, float("inf")])
 
+    def test_names_the_first_non_finite_position(self):
+        with pytest.raises(ValueError, match="^non-finite value at position 1: nan$"):
+            make_series("2010-01", [1.0, float("nan"), 2.0, float("inf")])
+
     def test_month_indices_wrap(self):
         s = make_series("2010-11", [1, 2, 3, 4])
         assert s.month_indices() == (10, 11, 0, 1)
@@ -116,6 +120,16 @@ class TestAggregateDaily:
         daily = [day(2010, 1, 29, 1.0), day(2010, 2, 4, 1e308), day(2010, 2, 5, 1e308)]
         with pytest.raises(ComputationError, match="mean of 2010-02 is not finite"):
             aggregate_daily_to_monthly(daily)
+
+    def test_first_error_in_month_order_wins(self):
+        # January's sum overflows and February has no pair: January is named
+        overflow = [day(2010, 1, 4, 1e308), day(2010, 1, 5, 1e308)]
+        with pytest.raises(ComputationError, match="^mean of 2010-01 is not finite: inf$"):
+            aggregate_daily_to_monthly(overflow + [day(2010, 3, 1, 1.0)])
+        # the other way round, the gap in February is named
+        with pytest.raises(GapInSeriesError, match="^no observations in 2010-02$"):
+            aggregate_daily_to_monthly([day(2010, 1, 4, 1.0)]
+                                       + [(d.replace(month=3), v) for d, v in overflow])
 
     def test_span_length(self):
         daily = [day(2010, 1, 20, 1), day(2010, 2, 3, 2), day(2010, 3, 28, 3)]
