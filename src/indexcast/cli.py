@@ -94,7 +94,7 @@ def cmd_decompose(args):
         panels = [Panel(name, (Line(name, values),)) for name, values in (
             ("aggregate", series.values), ("trend", result.trend),
             ("seasonal", result.seasonal), ("random", result.random))]
-        _write(args.plot, render_chart(panels, [str(m) for m in series.months()],
+        _write(args.plot, render_chart(panels, series.months(),
                                        title="additive decomposition"))
     _write(args.out, render_decomposition(result, args.output_format,
                                           args.precision))
@@ -135,7 +135,7 @@ def cmd_compare(args):
                   for name, pct_1, pct_2 in (
                       ("seasonal", report.seasonal_pct_1, report.seasonal_pct_2),
                       ("random", report.random_pct_1, report.random_pct_2))]
-        _write(args.plot, render_chart(panels, [str(m) for m in series_1.months()],
+        _write(args.plot, render_chart(panels, series_1.months(),
                                        title="component comparison"))
     _write(args.out, render_hypotheses(report, args.precision))
 

@@ -8,10 +8,11 @@ month.  The blocks of whole lines at the start of a file that are plain
 (two unquoted cells per row, dates oldest or newest first) are parsed and
 summed by C-level calls; the rest of the file goes to a loop over
 ``csv.reader`` rows, where cells may be quoted and columns after
-``value`` are ignored.  The means and errors are those of the row loop
-alone.  Both formats' readers skip a leading UTF-8 byte order mark
-(spreadsheets write one) and raise ``DataError`` naming the file on bytes
-that are not UTF-8.
+``value`` are ignored, each row checked as it is read and summed by the
+rule of ``aggregate_daily_to_monthly``.  The means and errors are those
+of the row loop alone.  Both formats' readers skip a leading UTF-8 byte
+order mark (spreadsheets write one) and raise ``DataError`` naming the
+file on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import islice, pairwise
 from operator import add
 from pathlib import Path
 from .errors import DataError, EmptyInputError, MissingStartError, ParseError
-from .series import MonthlyTimeSeries, MonthStamp, _monthly_means
+from .series import MonthlyTimeSeries, MonthStamp, _add_pairs, _monthly_means
 
 
 @contextlib.contextmanager
@@ -183,15 +184,12 @@ def _plain_months(handle, months) -> int | None:
 
 def _row_months(handle, path, months, lines=0) -> None:
     """Add each row of `handle`, read from its first byte, to the ``(total,
-    count)`` of its month in `months`, from a ``csv.reader`` loop that
-    parses each row and adds it to the current month's running total.  The
-    first `lines` lines, which the block pass summed, are read past first:
-    line by line, so that the same chunks decode, and the same bytes that
-    do not decode raise, as in a row loop over the whole file.  Raises what
+    count)`` of its month in `months`: a ``csv.reader`` loop checks each
+    row as it is read and ``series._add_pairs`` sums it.  The first `lines`
+    lines, which the block pass summed, are read past first: line by line,
+    so that the same chunks decode, and the same bytes that do not decode
+    raise, as in a row loop over the whole file.  Raises what
     ``read_daily_csv`` documents."""
-    parse_date, to_float, isfinite = datetime.date.fromisoformat, float, math.isfinite
-    year = month = None
-    total, count = 0.0, 0
     deque(islice(handle, lines), maxlen=0)
     rows = csv.reader(handle)
     try:
@@ -202,27 +200,10 @@ def _row_months(handle, path, months, lines=0) -> None:
             if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
                 raise ParseError(path, 1,
                                  f"expected header 'date,value', got {header!r}")
-        for row in rows:
-            try:
-                date, value = parse_date(row[0]), to_float(row[1])
-            except (IndexError, ValueError):
-                value = math.nan  # sends the row to the check below
-            if not isfinite(value):
-                checked = _checked_row(row, path, lines + rows.line_num)
-                if checked is None:
-                    continue
-                date, value = checked
-            if date.month != month or date.year != year:
-                if count:
-                    months[year, month] = (total, count)
-                year, month = date.year, date.month
-                total, count = months.get((year, month), (0.0, 0))
-            total += value
-            count += 1
+        _add_pairs(months, filter(None, (_checked_row(row, path, lines + rows.line_num)
+                                         for row in rows)))
     except csv.Error as exc:
         raise ParseError(path, lines + rows.line_num, str(exc)) from None
-    if count:
-        months[year, month] = (total, count)
 
 
 def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
@@ -233,11 +214,11 @@ def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     line ends, dates oldest or newest first), each block summed by C-level
     calls, with no list of the file's rows kept.  From the first block
     that is not plain, or from the first byte of a pipe, one loop over
-    ``csv.reader`` rows parses each row and adds it to a running total for
-    the current month; a month whose rows come back later resumes from its
-    stored total.  Either way each month is summed in file order, to the
-    totals ``aggregate_daily_to_monthly`` gives for the same pairs, and the
-    errors are those of the row loop alone.  A blank row is skipped and a
+    ``csv.reader`` rows checks each row and adds it to its month's stored
+    total, by the rule ``aggregate_daily_to_monthly`` sums its pairs with.
+    Either way each month is summed in file order, to the totals
+    ``aggregate_daily_to_monthly`` gives for the same pairs, and the errors
+    are those of the row loop alone.  A blank row is skipped and a
     bad one raises ``ParseError`` as it is read, before any check on the
     months (a gap, no rows), naming the line the row ends on as counted in
     the file.  Cells may be quoted, and a quoted cell may span lines;

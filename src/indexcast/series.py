@@ -117,8 +117,9 @@ def aggregate_daily_to_monthly(
     error the iterable raises comes first.
 
     This is the pairs API.  ``fileio.read_daily_csv`` reaches the same
-    totals, in file order, through its block pass and its row loop, and
-    both end in the same month walk and checks.
+    totals, in file order, through its block pass and its row loop, which
+    sums its rows by the same rule, and both end in the same month walk
+    and checks.
 
     Raises:
         EmptyInputError: no observations supplied.
@@ -126,11 +127,19 @@ def aggregate_daily_to_monthly(
         ComputationError: a month's mean is not finite (its sum overflows).
     """
     months: dict[tuple[int, int], tuple[float, int]] = {}
-    for date, value in daily:
+    _add_pairs(months, daily)
+    return _monthly_means(months)
+
+
+def _add_pairs(months: dict[tuple[int, int], tuple[float, int]],
+               pairs: Iterable[tuple[datetime.date, float]]) -> None:
+    """Add each ``(date, value)`` of `pairs`, in order, to the ``(total,
+    count)`` of its month in `months`, so that each month is summed left to
+    right from the total it holds."""
+    for date, value in pairs:
         key = date.year, date.month
         total, count = months.get(key, (0.0, 0))
         months[key] = (total + value, count + 1)
-    return _monthly_means(months)
 
 
 def _monthly_means(months: dict[tuple[int, int], tuple[float, int]]

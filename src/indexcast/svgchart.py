@@ -56,10 +56,10 @@ def _runs(values):
     return runs
 
 
-def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
+def render_chart(panels: Sequence[Panel], x_labels: Sequence[object],
                  title: str) -> str:
     """Render stacked line-chart panels to an SVG document string, with
-    `title` above them and `x_labels[i]` under every few points."""
+    `title` above them and ``str(x_labels[i])`` under every few points."""
     if not panels:
         raise ValueError("no panels to render")
     n_points = max((len(line.values) for panel in panels for line in panel.lines),
@@ -129,6 +129,6 @@ def render_chart(panels: Sequence[Panel], x_labels: Sequence[str],
     for i in range(0, n_points, max(1, n_points // 8)):
         out.append(f'<text x="{xs[i]}" y="{height - 10}" '
                    f'text-anchor="middle" font-size="10" '
-                   f'font-family="sans-serif">{_escape(x_labels[i])}</text>')
+                   f'font-family="sans-serif">{_escape(str(x_labels[i]))}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -668,6 +668,26 @@ class TestCompare:
             assert (code, out) == (4, "")
             assert err.startswith("computation error: seasonal indices")
 
+    @pytest.mark.parametrize("inputs, plot", [
+        (["--input", "ZERO", "--input2", CD], False),
+        (["--input", CD, "--input2", "ZERO"], True),
+    ], ids=["input", "input2_plot"])
+    def test_zero_value_names_its_month(self, inputs, plot, capsys, tmp_path,
+                                        cd_series):
+        # a component percentage divides by the series value of 2010-06
+        values = list(cd_series.values)
+        values[cd_series.index_of(MonthStamp(2010, 6))] = 0.0
+        zero = tmp_path / "zero.txt"
+        write_values_file(zero, make_series("2010-01", values))
+        report, svg = tmp_path / "report.txt", tmp_path / "cmp.svg"
+        argv = [str(zero) if a == "ZERO" else a for a in inputs]
+        code, out, err = run_cli(capsys, "compare", *argv, "--start", "2010-01",
+                                 "--out", str(report),
+                                 *(["--plot", str(svg)] if plot else []))
+        assert (code, out) == (4, "")
+        assert err == "computation error: series value is zero at 2010-06\n"
+        assert not report.exists() and not svg.exists()
+
     def test_each_input_takes_its_start_month_from_its_own_line(
             self, capsys, tmp_path, cd_series, sc_series):
         # a daily CSV needs no month, and the second input's values file

@@ -1,4 +1,5 @@
 import datetime
+import importlib.util
 import math
 import os
 import random
@@ -415,6 +416,31 @@ def test_plain_file_does_not_reach_the_row_loop(tmp_path, monkeypatch, newline, 
 
     monkeypatch.setattr(fileio.csv, "reader", no_reader)
     assert _outcome(_library, path) == expected
+
+
+def _load_bench_inputs():
+    path = Path(__file__).parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_benchmark_files_do_not_reach_the_row_loop(tmp_path, monkeypatch, seed):
+    # the daily CSVs the benchmark writes are read by the block pass alone
+    inputs = _load_bench_inputs()
+    rng = random.Random(seed)
+    quotes = inputs.daily_quotes(rng, inputs.first_quote_day(rng), 4000)
+    path = tmp_path / "daily.csv"
+    inputs.write_daily_csv(path, quotes)
+    start, means = inputs.monthly_means(quotes)
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop read a benchmark file")
+
+    monkeypatch.setattr(fileio, "_row_months", no_row_loop)
+    assert _outcome(_library, path) == (start, [v.hex() for v in means])
 
 
 def _inserted(lines, i, line):
