@@ -3,14 +3,15 @@
 A step-for-step copy of scipy 1.17's ``_minimize_neldermead`` without the
 adaptive option (Nelder & Mead 1965; Lagarias et al. 1998): the same start
 simplex, bound clipping, step order, evaluation budget, convergence test
-and result fields, so it returns bit for bit what
-``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", bounds=...,
-options=...)`` returns.  scipy runs each step as numpy calls on arrays of
-one to eleven elements, where the call overhead outweighs the arithmetic;
-here every vertex is a list of floats.  Both model fits call it directly.
-It is named ``minimize`` because the benchmark's tracer (``bench/spans.py``)
-wraps the ``minimize`` attribute of ``indexcast.arima`` and
-``indexcast.holtwinters`` to count evaluations and unconverged runs.
+and result fields, so given ``bounds=(low, high)`` it returns bit for bit
+what ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead",
+bounds=[(low, high)] * len(x0), options=...)`` returns.  scipy runs each
+step as numpy calls on arrays of one to eleven elements, where the call
+overhead outweighs the arithmetic; here every vertex is a list of floats.
+Both model fits call it directly.  It is named ``minimize`` because the
+benchmark's tracer (``bench/spans.py``) wraps the ``minimize`` attribute
+of ``indexcast.arima`` and ``indexcast.holtwinters`` to count evaluations
+and unconverged runs.
 
 Vertex order.  scipy re-sorts the vertices with ``np.argsort`` after every
 step.  When the values are strictly increasing in some order, that order is
@@ -22,10 +23,12 @@ placed by bisection among the other n, and the full sort runs only when it
 is not strictly between its neighbours.  While the order is strict the
 ``fatol`` test reduces to the spread between the best and worst values.
 
-Clipping.  Each trial point is clipped as ``np.clip`` clips it in scipy:
-from two coordinates on, a NaN stays NaN and -0.0 at a +0.0 lower bound
-becomes +0.0.  With one coordinate numpy takes its scalar-operand loop,
-which keeps the -0.0.
+Clipping.  Both fits bound every coordinate by the same (low, high) pair,
+so ``minimize`` takes one pair and compares each coordinate with two
+local floats.  Each trial point is clipped as ``np.clip`` clips it in
+scipy: from two coordinates on, a NaN stays NaN and -0.0 at a +0.0 lower
+bound becomes +0.0.  With one coordinate numpy takes its scalar-operand
+loop, which keeps the -0.0.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def _placed_worst(sim, fsim):
 def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
     """Minimize ``fun`` from ``x0``; the options are scipy's Nelder-Mead ones.
 
-    ``bounds`` holds float (low, high) pairs; an infinite end is no bound.
+    ``bounds`` is one float (low, high) pair that bounds every coordinate;
+    an infinite end is no bound.
     ``maxfev`` is the only budget: scipy given only maxfev caps no iterations.
     Any other option (``adaptive``, ``initial_simplex``, a misspelt name)
     raises TypeError.  ``fun`` receives each trial point as a list of floats
@@ -89,24 +93,22 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
     vertex ``x`` as a list of floats, ``fun``, ``nfev``, ``nit``, ``success``.
     """
     n = len(x0)
-    lower = [lo for lo, _ in bounds]
-    upper = [hi for _, hi in bounds]
+    low, high = bounds
 
     if n == 1:
-        (lo1, hi1), = bounds
-
         def clip(x):
             # numpy's scalar-operand loop, which scipy's one-coordinate
             # bounds take: -0.0 at a +0.0 lower bound stays -0.0
-            v = lo1 if x[0] < lo1 else x[0]
-            return [hi1 if v > hi1 else v]
+            v = low if x[0] < low else x[0]
+            return [high if v > high else v]
     else:
+        floor = low if low < high else high
+
         def clip(x):
             # np.clip's comparisons in its order: a NaN stays NaN, and -0.0
             # clipped at a +0.0 lower bound becomes +0.0
-            return [v if v != v else (v if v < hi else hi) if v > lo
-                    else (lo if lo < hi else hi)
-                    for v, lo, hi in zip(x, lower, upper)]
+            return [v if v != v else (v if v < high else high) if v > low
+                    else floor for v in x]
 
     nfev = 0
 
@@ -124,8 +126,7 @@ def minimize(fun, x0, *, bounds, maxfev, xatol=1e-4, fatol=1e-4):
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
         sim.append(y)
     # a start next to the upper bound reflects inward
-    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)])
-           for y in sim]
+    sim = [clip([2 * high - v if v > high else v for v in y]) for y in sim]
 
     fsim = [math.inf] * (n + 1)
     try:

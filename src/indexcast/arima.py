@@ -145,18 +145,21 @@ def _load_linear_filter():
 
 
 def _css_residuals(w: np.ndarray, p: int, q: int):
-    """CSS residuals e_t, t = p..len(w)-1, as a function of (ar, ma).
+    """CSS residuals e_t, t = p..len(w)-1, as a function of the p + q
+    coefficients in one list, AR first.
 
     ``w`` is the mean-removed differenced series; pre-sample e are treated
     as 0.  Its AR lag views and the MA filter arrays are built here once,
-    so each call only runs the recursion.  With p = q = 0 the result is a
-    view of ``w``, which callers only read; ``w`` is never written.
+    so each call only runs the recursion, reading the list in place.  With
+    p = q = 0 the result is a view of ``w``, which callers only read; ``w``
+    is never written.
     """
     # The MA recursion is lfilter([1.0], [1, ma], x), called as the C
     # routine lfilter ends in: for 1-D float64 x, len(a) > 1 and no zi,
     # lfilter only checks its arguments before this same call, and those
     # checks cost about as much as the filter itself.  TestCssResiduals
-    # pins the two bit for bit (scipy 1.17.1).
+    # pins the two bit for bit (scipy 1.17.1).  The denominator is written
+    # one item at a time, which costs less than a slice assignment.
     linear_filter = _load_linear_filter()
 
     n = len(w)
@@ -164,13 +167,15 @@ def _css_residuals(w: np.ndarray, p: int, q: int):
     lags = [w[p - i:n - i] for i in range(1, p + 1)]
     numerator = np.ones(1)
     denominator = np.ones(q + 1)
+    ma_slots = list(enumerate(range(p, p + q), 1))
 
-    def residuals(ar, ma) -> np.ndarray:
+    def residuals(coeffs) -> np.ndarray:
         x = head
-        for a, lag in zip(ar, lags):
-            x = x - a * lag
+        for c, lag in zip(coeffs, lags):
+            x = x - c * lag
         if q:
-            denominator[1:] = ma
+            for k, i in ma_slots:
+                denominator[k] = coeffs[i]
             return linear_filter(numerator, denominator, x, -1)
         return x
 
@@ -209,19 +214,20 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
         w = diffed - mu
         residuals = _css_residuals(w, p, q)
 
+        # e.dot(e) and e @ e both end in BLAS ddot; .dot skips the matmul
+        # ufunc's dispatch, and TestCssResiduals pins their equal bits
         def objective(x):
-            e = residuals(x[:p], x[p:])
-            return float(e @ e)
+            e = residuals(x)
+            return float(e.dot(e))
 
         if p + q:
             result = minimize(objective, x,
-                              bounds=[(-COEF_BOUND, COEF_BOUND)] * (p + q),
+                              bounds=(-COEF_BOUND, COEF_BOUND),
                               xatol=1e-4, fatol=1e-9 * objective(x),
                               maxfev=_EVALS_PER_DIM * (p + q))
             x, converged = result.x, result.success
-        ar, ma = x[:p], x[p:]
-        resid = residuals(ar, ma)
-        css = float(resid @ resid)
+        resid = residuals(x)
+        css = float(resid.dot(resid))
     # sigma2 averages the n - d - p residuals CSS has; the likelihood and
     # the small-sample correction use the common n - d sample, so that
     # candidates of every p are scored on the same observations
@@ -235,8 +241,8 @@ def fit_arima(series: MonthlyTimeSeries, order: ArimaOrder) -> ArimaModel:
     # the length check leaves len(resid) = n - d - p >= 10 + q >= tail_len
     tail_len = max(p, q, 1)
     return ArimaModel(order=order,
-                      ar_coeffs=tuple(float(v) for v in ar),
-                      ma_coeffs=tuple(float(v) for v in ma),
+                      ar_coeffs=tuple(float(v) for v in x[:p]),
+                      ma_coeffs=tuple(float(v) for v in x[p:]),
                       drift_value=mu,
                       sigma2=sigma2,
                       css=css,

@@ -173,7 +173,7 @@ def _fit_windows(series: MonthlyTimeSeries, ends) -> list[HoltWintersModel]:
         def objective(x):
             return _run_filter(*window, 12, start_state, *x)[3]
 
-        result = minimize(objective, best, bounds=[(0.0, 1.0)] * 3,
+        result = minimize(objective, best, bounds=(0.0, 1.0),
                           xatol=SIMPLEX_DIAMETER, fatol=1e-10 * best_sse,
                           maxfev=_MAX_REFINE_EVALS)
         if result.fun < best_sse:

@@ -53,7 +53,7 @@ class TestIntegrate:
 
 def _css(w, p, q, ar, ma):
     """The CSS sum the fit minimizes, on the mean-removed series w."""
-    e = arima._css_residuals(np.asarray(w, dtype=float), p, q)(ar, ma)
+    e = arima._css_residuals(np.asarray(w, dtype=float), p, q)([*ar, *ma])
     return float(e @ e)
 
 
@@ -132,7 +132,7 @@ class TestCssResiduals:
                     for coefs in draws:
                         ar, ma = coefs[:p], coefs[p:]
                         with np.errstate(all="ignore"):
-                            got = residuals(ar, ma)
+                            got = residuals(coefs)
                             x = w[p:]
                             for i, a in enumerate(ar, 1):
                                 x = x - a * w[p - i:len(w) - i]
@@ -143,9 +143,31 @@ class TestCssResiduals:
             # the closure filters views of w and must never write to it
             assert w.tobytes() == series.tobytes(), name
         with np.errstate(all="ignore"):
-            e = arima._css_residuals(huge, 2, 2)([COEF_BOUND, COEF_BOUND],
-                                                 [-COEF_BOUND, COEF_BOUND])
+            e = arima._css_residuals(huge, 2, 2)([COEF_BOUND, COEF_BOUND,
+                                                  -COEF_BOUND, COEF_BOUND])
         assert np.isinf(e).any() and np.isnan(e).any()
+
+    def test_dot_is_matmul_bit_for_bit(self, cd_series):
+        # the fit sums squares as e.dot(e), which skips the matmul ufunc's
+        # dispatch; both must reach the same BLAS kernel, or a numpy upgrade
+        # could move every CSS value by rounding
+        rng = np.random.default_rng(40)
+        for n in range(1, 301):
+            for scale in (1e-3, 1.0, 1e4):
+                e = rng.normal(0.0, scale, n)
+                assert e.dot(e).tobytes() == (e @ e).tobytes(), (n, scale)
+        train = slice_window(cd_series, MonthStamp(2010, 1), MonthStamp(2014, 12))
+        cd = np.diff(train.values)
+        w = cd - cd.mean()
+        for p in range(MAX_P + 1):
+            for q in range(MAX_Q + 1):
+                residuals = arima._css_residuals(w, p, q)
+                draws = [[0.0] * (p + q)] + [
+                    rng.uniform(-COEF_BOUND, COEF_BOUND, p + q).tolist()
+                    for _ in range(4)]
+                for coefs in draws:
+                    e = residuals(coefs)
+                    assert e.dot(e).tobytes() == (e @ e).tobytes(), (p, q, coefs)
 
 
 # fits the CD training window in a fresh interpreter, so that no earlier

@@ -30,10 +30,12 @@ def same_as_scipy(fun, x0, bounds, options):
     """Run both simplexes on ``fun``; return ours once it matches scipy's.
 
     Both see each trial point as a list of floats, as the library's
-    objectives do.
+    objectives do.  ``bounds`` is our one (low, high) pair; scipy gets it
+    once per coordinate.
     """
     theirs = scipy.optimize.minimize(lambda x: fun(x.tolist()), x0,
-                                     method="Nelder-Mead", bounds=bounds,
+                                     method="Nelder-Mead",
+                                     bounds=[bounds] * len(x0),
                                      options=options)
     ours = _simplex.minimize(fun, x0, bounds=bounds, **options)
     assert _bits(ours.x) == _bits(theirs.x)
@@ -79,7 +81,7 @@ class TestLibraryObjectives:
         train = slice_window(cd_series, START, TRAIN_END)
         diffs = MonthlyTimeSeries(train.start, np.diff(train.values).tolist())
         fit_arima(diffs, ArimaOrder(p, 0, q))
-        box = [(-arima.COEF_BOUND, arima.COEF_BOUND)] * (p + q)
+        box = (-arima.COEF_BOUND, arima.COEF_BOUND)
         assert [bounds for bounds, _ in library_runs] == ([box] if p + q else [])
 
     def test_holt_winters_refine(self, cd_series, sc_series, library_runs):
@@ -89,6 +91,8 @@ class TestLibraryObjectives:
 
 
 _FREE = (-math.inf, math.inf)
+# the pairs the fits use and no bound; one pair bounds every coordinate
+_PAIRS = [(-0.99, 0.99), (0.0, 1.0), _FREE]
 
 
 def _bowl(x):
@@ -104,7 +108,7 @@ def _plateau(x):
 
 class TestEdgeCases:
     def test_start_on_the_upper_bound_reflects_inward(self):
-        same_as_scipy(_bowl, [1.0, 0.5, 1.0], bounds=[(0.0, 1.0)] * 3,
+        same_as_scipy(_bowl, [1.0, 0.5, 1.0], bounds=(0.0, 1.0),
                       options=dict(xatol=1e-8, fatol=1e-12, maxfev=600))
 
     @pytest.mark.parametrize("x0", [[-0.0], [-0.0, 0.5]])
@@ -116,7 +120,7 @@ class TestEdgeCases:
             return math.copysign(1.0, x[0]) + (x[-1] - 0.2) ** 2
 
         for maxfev in (3, 400):
-            same_as_scipy(fun, x0, bounds=[(0.0, 1.0)] * len(x0),
+            same_as_scipy(fun, x0, bounds=(0.0, 1.0),
                           options=dict(maxfev=maxfev))
 
     @pytest.mark.parametrize("x0", [[0.2, -0.1], [0.3, 0.6, 0.9, 1.2],
@@ -125,7 +129,7 @@ class TestEdgeCases:
         # from four dimensions on, numpy's argsort may order equal values
         # other than a stable sort does, and the centroid sums the rows in
         # that order
-        same_as_scipy(_plateau, x0, bounds=[_FREE] * len(x0),
+        same_as_scipy(_plateau, x0, bounds=_FREE,
                       options=dict(xatol=1e-6, fatol=1e-9,
                                    maxfev=200 * len(x0)))
 
@@ -133,7 +137,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_values(self, bad):
         def fun(x):
-            return bad if x[0] > 0.5 else (x[0] - 0.2) ** 2 + x[1] ** 2
+            return bad if x[0] > 0.5 else (x[0] - 0.2) ** 2 + x[-1] ** 2
 
         # the start simplex straddles the edge, so the worst vertex is bad:
         # a NaN there fails the convergence test however wide xatol is and
@@ -141,13 +145,15 @@ class TestEdgeCases:
         for options in (dict(xatol=1e-6, fatol=1e-9, maxfev=400),
                         dict(xatol=0.1, fatol=1e-2, maxfev=400),
                         dict(maxfev=4)):
-            same_as_scipy(fun, [0.49, 0.0], bounds=[_FREE] * 2,
-                          options=options)
-            same_as_scipy(fun, [0.49, 0.0], bounds=[(0.0, 1.0), _FREE],
-                          options=options)
-        same_as_scipy(lambda x: bad, [0.5, 0.5], bounds=[_FREE] * 2,
-                      options=dict(maxfev=400))
+            for bounds in _PAIRS:
+                same_as_scipy(fun, [0.49, 0.0], bounds=bounds,
+                              options=options)
+                same_as_scipy(fun, [0.49], bounds=bounds, options=options)
+        for bounds in _PAIRS:
+            same_as_scipy(lambda x: bad, [0.5, 0.5], bounds=bounds,
+                          options=dict(maxfev=400))
 
+    @pytest.mark.filterwarnings("ignore:Initial guess is not within")
     @pytest.mark.parametrize("fun, x0", [
         (lambda x: (x[0] - 50.0) ** 2 + (x[1] - 50.0) ** 2, [0.0, 0.0]),
         (_plateau, [0.2, -0.1, 0.3]),
@@ -156,11 +162,12 @@ class TestEdgeCases:
         # the first objective expands for many iterations (two calls each)
         # and the plateau shrinks every iteration (two calls, then one per
         # vertex), so some cap in this sweep falls inside an expansion and
-        # inside a shrink
-        for maxfev in range(1, 41):
-            result = same_as_scipy(fun, x0, bounds=[_FREE] * len(x0),
-                                   options=dict(maxfev=maxfev))
-            assert result.nfev == maxfev and not result.success
+        # inside a shrink, under each pair
+        for bounds in _PAIRS:
+            for maxfev in range(1, 41):
+                result = same_as_scipy(fun, x0, bounds=bounds,
+                                       options=dict(maxfev=maxfev))
+                assert result.nfev == maxfev and not result.success
 
 
 def _floored_bowl(centre, ripple, step, nan_above, inf_below):
@@ -195,8 +202,7 @@ def test_same_as_scipy_on_ties_and_non_finite_values(data):
     def each(values):
         return st.lists(values, min_size=n, max_size=n)
 
-    bounds = data.draw(each(st.sampled_from(
-        [(-0.99, 0.99), (0.0, 1.0), _FREE])), label="bounds")
+    bounds = data.draw(st.sampled_from(_PAIRS), label="bounds")
     x0 = data.draw(each(st.sampled_from([-0.0, 0.0, 0.99])
                         | st.floats(-1.5, 1.5)), label="x0")
     fun = _floored_bowl(
@@ -212,7 +218,7 @@ def test_same_as_scipy_on_ties_and_non_finite_values(data):
 def test_unknown_option_raises():
     # a misspelt budget must not leave the fit on some default cap
     with pytest.raises(TypeError):
-        _simplex.minimize(_bowl, [0.5, 0.5], bounds=[_FREE] * 2,
+        _simplex.minimize(_bowl, [0.5, 0.5], bounds=_FREE,
                           maxfev=100, maxfun=100)
 
 
