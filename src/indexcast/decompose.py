@@ -116,16 +116,23 @@ def component_percentage(series: MonthlyTimeSeries,
     """Component as a signed percentage of the series value, per month.
 
     None entries pass through.  Raises ZeroDivisionError on a zero series
-    value with a defined component.
+    value with a defined component, and ComputationError naming the first
+    month whose percentage is not finite (a subnormal series value).
     """
     if len(component) != len(series):
         raise ValueError(f"component length {len(component)} does not match "
                          f"series length {len(series)}")
     try:
-        return tuple([None if c is None else c / y * 100.0
-                      for c, y in zip(component, series.values)])
+        percentages = tuple([None if c is None else c / y * 100.0
+                             for c, y in zip(component, series.values)])
     except ZeroDivisionError:
         i = next(i for i, (c, y) in enumerate(zip(component, series.values))
                  if c is not None and y == 0)
         raise ZeroDivisionError(
             f"series value is zero at {series.start.offset(i)}") from None
+    if not all(map(math.isfinite, filter(None, percentages))):  # skips None and 0.0
+        i = next(i for i, p in enumerate(percentages)
+                 if p is not None and not math.isfinite(p))
+        raise ComputationError(f"component percentage at {series.start.offset(i)} "
+                               f"is not finite: series value {series.values[i]!r}")
+    return percentages

@@ -17,14 +17,15 @@ I-V by its id in ``METHODS``.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Literal
 
 from .arima import forecast_arima, select_order
 from .decompose import component_percentage, decompose_additive
-from .errors import (InsufficientDataError, NoOverlapError, OutOfRangeError,
-                     SeriesTooShortError)
+from .errors import (ComputationError, InsufficientDataError, NoOverlapError,
+                     OutOfRangeError, SeriesTooShortError)
 from .holtwinters import _fit_windows, fit_holt_winters, forecast_hw
 from .series import METHODS, MonthlyTimeSeries, MonthStamp, slice_window
 
@@ -115,7 +116,11 @@ def _report(method_id, months, actuals, forecasts) -> MethodReport:
     for m, a, f in zip(months, actuals, forecasts):
         if a == 0:
             raise ZeroDivisionError(f"actual value is zero at {m}")
-        rows.append(ForecastRow(m, a, f, absolute_percentage_error(a, f)))
+        ape = absolute_percentage_error(a, f)
+        if not math.isfinite(ape):  # a subnormal actual, or a forecast that overflows
+            raise ComputationError(f"absolute percentage error at {m} is not "
+                                   f"finite: actual {a!r}, forecast {f!r}")
+        rows.append(ForecastRow(m, a, f, ape))
     return MethodReport(method_id, tuple(rows),
                         _summarize_errors(r.ape for r in rows))
 
@@ -258,9 +263,9 @@ def structural_stability(series_full: MonthlyTimeSeries,
     trends are defined the signed variation (sum_b - sum_a) / sum_a * 100
     is reported.  By default window_a is all but the last year and window_b
     all but the first, as the paper compares 2010-2014 with 2011-2015; with
-    both defaults a series shorter than 37 months raises SeriesTooShortError,
-    and a month where window A's sum is zero raises ZeroDivisionError naming
-    the month.
+    both defaults a series shorter than 37 months raises SeriesTooShortError.
+    A month where window A's sum is zero raises ZeroDivisionError naming the
+    month, and one whose variation is not finite ComputationError.
     """
     # each default window's 2x12 trend leaves out 6 months at either end,
     # so the two overlap only from 37 months on
@@ -288,10 +293,13 @@ def structural_stability(series_full: MonthlyTimeSeries,
         if sum_a == 0:
             raise ZeroDivisionError(
                 f"window A's trend plus seasonal sum is zero at {month}")
+        variation = (sum_b - sum_a) / sum_a * 100.0
+        if not math.isfinite(variation):
+            raise ComputationError(f"variation at {month} is not finite: window A's "
+                                   f"sum {sum_a!r}, window B's {sum_b!r}")
         rows.append(StabilityRow(
             month=month, trend_a=t_a, seasonal_a=s_a, sum_a=sum_a,
-            trend_b=t_b, seasonal_b=s_b, sum_b=sum_b,
-            variation_pct=(sum_b - sum_a) / sum_a * 100.0))
+            trend_b=t_b, seasonal_b=s_b, sum_b=sum_b, variation_pct=variation))
     return tuple(rows)
 
 

@@ -4,15 +4,15 @@ Values format: one finite decimal per line for consecutive months, ``#``
 comment lines allowed; the start month comes from the caller or from a
 ``# start YYYY-MM`` line, and the two must agree when both are given.
 Daily CSV: header ``date,value`` with ISO-8601 dates, averaged per calendar
-month.  The blocks of whole lines at the start of a file that are plain
-(two unquoted cells per row, dates oldest or newest first) are parsed and
-summed by C-level calls; the rest of the file goes to a loop over
-``csv.reader`` rows, where cells may be quoted and columns after
-``value`` are ignored, each row checked as it is read and summed by the
-rule of ``aggregate_daily_to_monthly``.  The means and errors are those
-of the row loop alone.  Both formats' readers skip a leading UTF-8 byte
-order mark (spreadsheets write one) and raise ``DataError`` naming the
-file on bytes that are not UTF-8.
+month.  A file that is plain from its header to its last line (two
+unquoted cells per row, LF line ends, dates oldest first) is parsed and
+summed in blocks by C-level calls; any other file is read from its first
+byte by a loop over ``csv.reader`` rows, where cells may be quoted and
+columns after ``value`` are ignored, each row checked as it is read and
+summed by the rule of ``aggregate_daily_to_monthly``.  The means and
+errors are those of the row loop alone.  Both formats' readers skip a
+leading UTF-8 byte order mark (spreadsheets write one) and raise
+``DataError`` naming the file on bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import csv
 import datetime
 import math
 from bisect import bisect_left
-from collections import deque
 from functools import reduce
-from itertools import islice, pairwise
 from operator import add
 from pathlib import Path
 from .errors import DataError, EmptyInputError, MissingStartError, ParseError
@@ -120,117 +118,102 @@ def _checked_row(row, path, line_number):
     return date, _number(row[1], path, line_number)
 
 
-# characters per block of whole lines in the plain pass; the first block is
-# the header and a few rows, so that a file whose rows are not plain from the
-# start (quoted, padded dates, a third column) costs a few microseconds more
-_FIRST_BLOCK, _BLOCK = 64, 32_768
-# bytes.translate's delete set: every byte but "," "\n" and "\r"
+# characters per block of whole lines in the plain pass
+_BLOCK = 32_768
+# bytes.translate's delete set: every byte but "," "\n" and "\r", so that a
+# CR, which no plain file holds, fails the marks check
 _NOT_MARKS = bytes(b for b in range(256) if b not in b",\n\r")
 
 
-def _plain_months(handle, months) -> int | None:
-    """Add the plain blocks at the start of `handle` to the ``(total,
-    count)`` pairs of `months`: None when the whole file was plain, else
-    the number of lines they hold, after which the row loop goes on.
+def _plain_months(handle) -> dict[tuple[int, int], tuple[float, int]] | None:
+    """The ``(total, count)`` of each month of `handle`, read from its first
+    byte, when the whole file is plain; None otherwise.
 
-    Plain: a ``date,value`` header, LF or CRLF line ends, exactly one comma
-    on every line, no blank line, every cell within the field size limit,
-    ISO dates oldest or newest first within the block, and finite values.
-    A quote in any cell fails ``float``, ``fromisoformat`` or the header
-    check.  Each block of whole lines is parsed, cut into months with
-    ``bisect_left`` and summed by C-level calls; ``reduce(add, ...)``
-    performs the row loop's ``total += value`` additions in file order, so
-    the totals are the same bit for bit.  A block that is not plain, or
-    whose bytes do not decode, ends the pass and adds nothing; the pass
-    raises nothing of its own.
+    Plain: a ``date,value`` header, LF line ends, exactly one comma on every
+    line, no blank line, every cell within the field size limit, ISO dates
+    oldest first within each block, and finite values.  A quote in any cell
+    fails ``float``, ``fromisoformat`` or the header check.  Each block of
+    whole lines is parsed, cut into months with ``bisect_left`` and summed
+    by C-level calls; ``reduce(add, ...)`` performs the row loop's ``total
+    += value`` additions in file order, so the totals are the same bit for
+    bit.  A block that is not plain, or whose bytes do not decode, gives
+    None, and so does an empty file: the row loop then reads the file from
+    its first byte and names what is wrong.  The pass raises nothing of its
+    own.
     """
-    limit, lines = csv.field_size_limit(), 0
+    months, limit, skip = {}, csv.field_size_limit(), 2
     try:
-        while block := handle.read(_BLOCK if lines else _FIRST_BLOCK) + handle.readline():
-            text = block.replace("\r\n", "\n") if "\r" in block else block
-            text = text[:-1] if text[-1] == "\n" else text
+        while block := handle.read(_BLOCK) + handle.readline():
+            text = block[:-1] if block[-1] == "\n" else block
             marks = text.encode().translate(None, _NOT_MARKS)
             if marks != b",\n" * (len(marks) // 2) + b",":
-                break
+                return None
             fields = text.replace("\n", ",").split(",")
-            skip = 0 if lines else 2
             if ((len(text) > limit and max(map(len, fields)) > limit) or skip
                     and [c.strip().lower() for c in fields[:2]] != ["date", "value"]):
-                break
+                return None
             dates = list(map(datetime.date.fromisoformat, fields[skip::2]))
             values = list(map(float, fields[skip + 1::2]))
-            ordered = sorted(dates)
-            newest_first = ordered != dates
-            if newest_first and ordered != dates[::-1] or not math.isfinite(sum(values)):
-                break
-            cuts = [0]  # where each month starts in `ordered`
-            while cuts[-1] < len(ordered):
-                first = ordered[cuts[-1]]
-                cuts.append(bisect_left(ordered, datetime.date(
-                    first.year + first.month // 12, first.month % 12 + 1, 1), cuts[-1]))
-            if newest_first:
-                cuts = [len(dates) - c for c in reversed(cuts)]
-            for i, j in pairwise(cuts):
-                key = dates[i].year, dates[i].month
-                total, count = months.get(key, (0.0, 0))
-                months[key] = (reduce(add, values[i:j], total), count + j - i)
-            lines += len(fields) // 2
-        else:  # the end of the file; an empty one is the row loop's to name
-            return None if lines else 0
+            if sorted(dates) != dates or not math.isfinite(sum(values)):
+                return None
+            i = skip = 0
+            while i < len(dates):
+                first = dates[i]
+                j = bisect_left(dates, datetime.date(
+                    first.year + first.month // 12, first.month % 12 + 1, 1), i)
+                total, count = months.get((first.year, first.month), (0.0, 0))
+                months[first.year, first.month] = (reduce(add, values[i:j], total),
+                                                   count + j - i)
+                i = j
     except ValueError:  # a bad date or value, December 9999, bytes that do not decode
-        pass
-    return lines
+        return None
+    return None if skip else months
 
 
-def _row_months(handle, path, months, lines=0) -> None:
-    """Add each row of `handle`, read from its first byte, to the ``(total,
-    count)`` of its month in `months`: a ``csv.reader`` loop checks each
-    row as it is read and ``series._add_pairs`` sums it.  The first `lines`
-    lines, which the block pass summed, are read past first: line by line,
-    so that the same chunks decode, and the same bytes that do not decode
-    raise, as in a row loop over the whole file.  Raises what
-    ``read_daily_csv`` documents."""
-    deque(islice(handle, lines), maxlen=0)
+def _row_months(handle, path) -> dict[tuple[int, int], tuple[float, int]]:
+    """The ``(total, count)`` of each month of `handle`, read from its first
+    byte: a ``csv.reader`` loop checks each row as it is read and
+    ``series._add_pairs`` sums it.  Raises what ``read_daily_csv``
+    documents."""
+    months: dict[tuple[int, int], tuple[float, int]] = {}
     rows = csv.reader(handle)
     try:
-        if not lines:
-            header = next(rows, None)
-            if header is None:
-                raise EmptyInputError(f"{path} is empty")
-            if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
-                raise ParseError(path, 1,
-                                 f"expected header 'date,value', got {header!r}")
-        _add_pairs(months, filter(None, (_checked_row(row, path, lines + rows.line_num)
+        header = next(rows, None)
+        if header is None:
+            raise EmptyInputError(f"{path} is empty")
+        if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
+            raise ParseError(path, 1, f"expected header 'date,value', got {header!r}")
+        _add_pairs(months, filter(None, (_checked_row(row, path, rows.line_num)
                                          for row in rows)))
     except csv.Error as exc:
-        raise ParseError(path, lines + rows.line_num, str(exc)) from None
+        raise ParseError(path, rows.line_num, str(exc)) from None
+    return months
 
 
 def read_daily_csv(path: str | Path) -> MonthlyTimeSeries:
     """Read a ``date,value`` CSV with ISO dates into monthly means.
 
-    A file is read from its start one block of whole lines at a time for
-    as long as each block is plain (two unquoted cells per row, LF or CRLF
-    line ends, dates oldest or newest first), each block summed by C-level
-    calls, with no list of the file's rows kept.  From the first block
-    that is not plain, or from the first byte of a pipe, one loop over
-    ``csv.reader`` rows checks each row and adds it to its month's stored
-    total, by the rule ``aggregate_daily_to_monthly`` sums its pairs with.
-    Either way each month is summed in file order, to the totals
+    A file that is plain from its header to its last line (two unquoted
+    cells per row, LF line ends, dates oldest first) is read one block of
+    whole lines at a time, each block summed by C-level calls, with no list
+    of the file's rows kept.  Any other file, and a pipe, is read from its
+    first byte by one loop over ``csv.reader`` rows that checks each row
+    and adds it to its month's stored total, by the rule
+    ``aggregate_daily_to_monthly`` sums its pairs with.  Either way each
+    month is summed in file order, to the totals
     ``aggregate_daily_to_monthly`` gives for the same pairs, and the errors
-    are those of the row loop alone.  A blank row is skipped and a
-    bad one raises ``ParseError`` as it is read, before any check on the
-    months (a gap, no rows), naming the line the row ends on as counted in
-    the file.  Cells may be quoted, and a quoted cell may span lines;
-    columns after ``value`` are ignored.  What ``csv.reader`` itself
-    rejects, such as a cell over its field size limit (131,072
-    characters), is a ``ParseError`` too.
+    are those of the row loop alone.  A blank row is skipped and a bad one
+    raises ``ParseError`` as it is read, before any check on the months (a
+    gap, no rows), naming the line the row ends on as counted in the file.
+    Cells may be quoted, and a quoted cell may span lines; columns after
+    ``value`` are ignored.  What ``csv.reader`` itself rejects, such as a
+    cell over its field size limit (131,072 characters), is a
+    ``ParseError`` too.
     """
-    months: dict[tuple[int, int], tuple[float, int]] = {}
     with _utf8(path, newline="") as handle:
         if not handle.seekable():  # a pipe cannot go back to its first byte
-            _row_months(handle, path, months)
-        elif (lines := _plain_months(handle, months)) is not None:
+            months = _row_months(handle, path)
+        elif (months := _plain_months(handle)) is None:
             handle.seek(0)
-            _row_months(handle, path, months, lines)
+            months = _row_months(handle, path)
     return _monthly_means(months)

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import importlib.util
 import io
+import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -97,6 +99,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def subnormal_file(tmp_path):
+    """72 months from 2010-01 whose 2015-07 value, in the last year that
+    forecasts are scored on, is the smallest subnormal float."""
+    rng = random.Random(3)
+    values = [round(rng.uniform(3000, 12000), 2) for _ in range(72)]
+    values[66] = 5e-324
+    path = tmp_path / "subnormal.txt"
+    path.write_text("# start 2010-01\n" + "".join(f"{v!r}\n" for v in values))
+    return path
 
 
 @pytest.mark.parametrize("command, fmt, text", [
@@ -500,6 +514,17 @@ class TestForecast:
         assert (code, out) == (4, "")
         assert err == "computation error: actual value is zero at 2015-03\n"
 
+    @pytest.mark.parametrize("method", ["I", "IV"])
+    def test_subnormal_actual_is_computation_error(self, method, capsys,
+                                                   subnormal_file):
+        # the percentage error of 2015-07 divides by 5e-324 and overflows
+        code, out, err = run_cli(capsys, "forecast", "--method", method,
+                                 "--input", str(subnormal_file))
+        assert (code, out) == (4, "")
+        assert err.startswith("computation error: absolute percentage error "
+                              "at 2015-07 is not finite: actual 5e-324, forecast ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("method", ["IV", "V"])
     def test_missing_scipy_is_computation_error(self, method, capsys,
                                                 monkeypatch):
@@ -613,6 +638,17 @@ class TestStability:
         assert err == ("computation error: window A's trend plus seasonal "
                        "sum is zero at 2011-07\n")
 
+    def test_non_finite_variation_names_its_month(self, capsys, tmp_path):
+        # window A's sums are about 1e-200; window B's last year of 1e300
+        # makes its seasonal indices about -1e298, so the ratio overflows
+        path = tmp_path / "extremes.txt"
+        write_values_file(path, make_series("2010-01", [1e-200] * 36 + [1e300] * 12))
+        code, out, err = run_cli(capsys, "stability", "--input", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("computation error: variation at 2011-07 is not "
+                              "finite: window A's sum 9.99")
+        assert err.count("\n") == 1
+
     def test_no_overlap_is_computation_error(self, capsys):
         code, _, err = run_cli(capsys, "stability", "--input", CD,
                                "--start", "2010-01",
@@ -687,6 +723,14 @@ class TestCompare:
         assert (code, out) == (4, "")
         assert err == "computation error: series value is zero at 2010-06\n"
         assert not report.exists() and not svg.exists()
+
+    def test_subnormal_value_is_computation_error(self, capsys, subnormal_file):
+        # a component percentage divides by 5e-324 and overflows
+        code, out, err = run_cli(capsys, "compare", "--input", CD, "--start", "2010-01",
+                                 "--input2", str(subnormal_file), "--start2", "2010-01")
+        assert (code, out) == (4, "")
+        assert err == ("computation error: component percentage at 2015-07 is "
+                       "not finite: series value 5e-324\n")
 
     def test_each_input_takes_its_start_month_from_its_own_line(
             self, capsys, tmp_path, cd_series, sc_series):
@@ -771,3 +815,57 @@ class TestCompare:
                                "--input2", str(flat), "--start", "2010-01")
         assert code == 0
         assert "series1 more seasonal: True" in out
+
+
+# cells a values file may hold that no index quote would: a subnormal,
+# zeros, values near the ends of the float range and a negative value
+_ODD_CELLS = [5e-324, 0.0, -0.0, 1e300, 1e308, -1e308, -1234.5]
+
+
+@st.composite
+def odd_values_files(draw):
+    """The text of a values file of 1-120 months from 2010-01 with one or two
+    cells replaced by an odd value, each in the last year (where forecasts
+    are scored) or anywhere."""
+    n = draw(st.integers(1, 120))
+    values = draw(st.lists(st.floats(500, 20_000).map(lambda v: round(v, 2)),
+                           min_size=n, max_size=n))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(-min(n, 12), -1) | st.integers(0, n - 1))
+        values[i] = draw(st.sampled_from(_ODD_CELLS))
+    return "# start 2010-01\n" + "".join(f"{v!r}\n" for v in values)
+
+
+def _clean_outcome(text, argv):
+    """Run `argv` on the values file `text` in process and check that it
+    exits 0 with finite numbers or with one error line and a typed code;
+    an uncaught exception propagates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.txt"
+        path.write_text(text)
+        code, out, err = _in_process([str(path) if a == "FILE" else a for a in argv])
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    else:
+        assert code in (2, 3, 4) and out == "" and err.count("\n") == 1, err
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(odd_values_files())
+def test_every_command_exits_cleanly_on_odd_values(text):
+    # every command but the slow methods of the test below, at both precisions
+    for argv in [["ingest", "--input", "FILE"], ["decompose", "--input", "FILE"],
+                 *[["forecast", "--method", m, "--input", "FILE"] for m in ("I", "III")],
+                 ["stability", "--input", "FILE"],
+                 ["compare", "--input", CD, "--start", "2010-01", "--input2", "FILE"]]:
+        for precision in ("display", "full"):
+            _clean_outcome(text, [*argv, "--precision", precision])
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(odd_values_files(), st.sampled_from(["II", "IV", "V"]),
+       st.sampled_from(["display", "full"]))
+def test_slow_methods_exit_cleanly_on_odd_values(text, method, precision):
+    # the rolling Holt-Winters method and the ARIMA methods
+    _clean_outcome(text, ["forecast", "--method", method, "--input", "FILE",
+                          "--precision", precision])
